@@ -12,14 +12,15 @@ shuffle or merge work.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from beamium_ray.config import EngineConfig
-from beamium_ray.stages.gorilla import encode_block
+from beamium_ray.stages.gorilla import decode_blocks, encode_block
 from beamium_ray.stages.rollup import (
     merge_cascade_gapfill,
     merge_tiers_with_prior,
@@ -29,7 +30,9 @@ from beamium_ray.stages.rollup import (
 from beamium_ray.state.manifest import (
     atomic_write_bytes,
     commit_bucket_manifest,
+    committed_bucket_manifests,
     input_fingerprint,
+    iter_bucket_manifests,
     load_committed,
     manifest_path,
     merge_run_manifest,
@@ -52,8 +55,6 @@ MANIFEST_ROW_SCHEMA = pa.schema(
 
 def combine_fp(applied: list[str]) -> str:
     """Deterministic combined fingerprint of an append history."""
-    import hashlib
-
     return hashlib.sha256("|".join(applied).encode()).hexdigest()[:16]
 
 
@@ -93,8 +94,6 @@ def _encode_and_commit(
     applied = [fingerprint]
     prior_tier_rows: dict[str, pa.Table] = {}
     if incremental:
-        import json
-
         mpath = manifest_path(out_dir, bucket)
         prior = None
         if os.path.exists(mpath):
@@ -116,22 +115,16 @@ def _encode_and_commit(
             if fingerprint in prior_applied:
                 return MANIFEST_ROW_SCHEMA.empty_table()  # idempotent rerun
             applied = prior_applied + [fingerprint]
+            by_tier: dict[str, list[str]] = {}
             for b in prior.get("blocks") or []:
-                from beamium_ray.stages.gorilla import decode_block
-
-                with open(os.path.join(out_dir, b["path"]), "rb") as f:
-                    old = decode_block(f.read())
+                by_tier.setdefault(b.get("tier", ""), []).append(
+                    os.path.join(out_dir, b["path"])
+                )
+            for t, paths in by_tier.items():
+                old = decode_blocks(paths)
                 # stored rows ARE merge state; drop gap-filled (n=0)
                 # rows, they are regenerated after the merge
-                old = old.filter(pc.greater(old["n"], 0))
-                t = b.get("tier", "")
-                prior_tier_rows[t] = (
-                    pa.concat_tables(
-                        [prior_tier_rows[t], old], promote_options="default"
-                    )
-                    if t in prior_tier_rows
-                    else old
-                )
+                prior_tier_rows[t] = old.filter(pc.greater(old["n"], 0))
         fingerprint = combine_fp(applied)
 
     if "bucket" in group.column_names:
@@ -169,8 +162,6 @@ def _encode_and_commit(
         ws = tt["window_start"].to_numpy()
         lt_max = pc.max(tt["last_ts"]).as_py()  # None when all-null
         base = min(tiers, key=tiers.get)
-        import hashlib
-
         info = {
             "tier": tier,
             "path": rel,
@@ -215,97 +206,11 @@ def _encode_and_commit(
     return pa.Table.from_pylist(rows_out, schema=MANIFEST_ROW_SCHEMA)
 
 
-def rollup_to_blocks(
-    dp_ds,
-    cfg: EngineConfig,
-    input_paths: list[str],
-    out_dir: str | None = None,
-    key_col: str = "series_key",
-    order_col: str | None = "order",
-):
-    """Datapoint Dataset → committed compressed blocks; returns (run
-    manifest dict, manifest-rows Dataset result as pa.Table)."""
-    out_dir = out_dir or cfg.output_dir
-    validate_tiers(cfg.tiers)  # fail fast, before any compute launches
-    fp = input_fingerprint(input_paths)
-    ch = cfg.config_hash()
-    committed = load_committed(out_dir, fp, ch)
-    skip = frozenset(committed)
-    base_us = min(cfg.tiers.values())
-    tiers, gapfill, nb = dict(cfg.tiers), cfg.gapfill, cfg.num_buckets
-    max_gap = cfg.gapfill_max_gap
-    codec = getattr(cfg, "float_codec", "bytes")
-    icodec = getattr(cfg, "int_codec", "bytes")
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        t = partial_rollup_batch(
-            batch, base_us, key_col=key_col, order_col=order_col, num_buckets=nb
-        )
-        if skip:  # resume: committed buckets never enter the shuffle
-            t = t.filter(
-                pc.invert(
-                    pc.is_in(
-                        t["bucket"], value_set=pa.array(sorted(skip), pa.int32())
-                    )
-                )
-            )
-        return t
-
-    def _merge(group: pa.Table) -> pa.Table:
-        return _encode_and_commit(
-            group, out_dir, tiers, gapfill, fp, ch, gapfill_max_gap=max_gap,
-            float_codec=codec, int_codec=icodec,
-        )
-
-    narrow = dp_ds.select_columns(
-        [c for c in [key_col, "ts", "value", order_col] if c]
-    )
-    partials = narrow.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    if cfg.shuffle_blocks:
-        partials = partials.repartition(cfg.shuffle_blocks)
-    result = partials.groupby("bucket").map_groups(
-        _merge, batch_format="pyarrow"
-    )
-    manifest_rows = pa.concat_tables(
-        list(result.iter_batches(batch_format="pyarrow"))
-        or [MANIFEST_ROW_SCHEMA.empty_table()]
-    )
-    run = merge_run_manifest(out_dir, fp, ch)
-    return run, manifest_rows
-
-
-def append_rollup(
-    dp_ds,
-    cfg: EngineConfig,
-    new_paths: list[str],
-    out_dir: str | None = None,
-    key_col: str = "series_key",
-    order_col: str | None = "order",
-):
-    """Continuous aggregate: fold NEW input into existing rollup blocks.
-
-    Only the new datapoints are read and combiner-reduced; each bucket
-    merge pulls its existing blocks (already merge-state, per tier —
-    so per-tier retention horizons are respected) and re-commits. Idempotent per (bucket, new-input fingerprint): a rerun
-    after a crash skips buckets that already applied this append — the
-    north rule's "resumes without re-rolling completed windows".
-    """
-    import json
-
-    out_dir = out_dir or cfg.output_dir
-    validate_tiers(cfg.tiers)
-    new_fp = input_fingerprint(new_paths)
-    ch = cfg.config_hash()
-
-    # buckets that already applied this exact append (crash rerun)
-    from beamium_ray.state.manifest import iter_bucket_manifests
-
-    skip = frozenset(
-        int(m["bucket"])
-        for _, m in iter_bucket_manifests(out_dir)
-        if m.get("config_hash") == ch and new_fp in (m.get("applied") or [])
-    )
-
+def _roll_buckets(dp_ds, cfg, out_dir, fp, ch, skip, key_col, order_col,
+                  incremental: bool) -> pa.Table:
+    """The Ray plan both entry points share: combiner partials (buckets
+    in ``skip`` never enter the shuffle) → shuffle by bucket →
+    per-bucket merge/encode/commit. Returns the manifest rows."""
     base_us = min(cfg.tiers.values())
     tiers, gapfill, nb = dict(cfg.tiers), cfg.gapfill, cfg.num_buckets
     max_gap = cfg.gapfill_max_gap
@@ -328,7 +233,7 @@ def append_rollup(
 
     def _merge(group: pa.Table) -> pa.Table:
         return _encode_and_commit(
-            group, out_dir, tiers, gapfill, new_fp, ch, incremental=True,
+            group, out_dir, tiers, gapfill, fp, ch, incremental=incremental,
             gapfill_max_gap=max_gap, float_codec=codec, int_codec=icodec,
         )
 
@@ -339,22 +244,71 @@ def append_rollup(
     if cfg.shuffle_blocks:
         partials = partials.repartition(cfg.shuffle_blocks)
     result = partials.groupby("bucket").map_groups(_merge, batch_format="pyarrow")
-    manifest_rows = pa.concat_tables(
+    return pa.concat_tables(
         list(result.iter_batches(batch_format="pyarrow"))
         or [MANIFEST_ROW_SCHEMA.empty_table()]
     )
-    run = merge_run_manifest_any(out_dir, ch)
-    return run, manifest_rows
+
+
+def rollup_to_blocks(
+    dp_ds,
+    cfg: EngineConfig,
+    input_paths: list[str],
+    out_dir: str | None = None,
+    key_col: str = "series_key",
+    order_col: str | None = "order",
+):
+    """Datapoint Dataset → committed compressed blocks; returns (run
+    manifest dict, manifest-rows Dataset result as pa.Table)."""
+    out_dir = out_dir or cfg.output_dir
+    validate_tiers(cfg.tiers)  # fail fast, before any compute launches
+    fp = input_fingerprint(input_paths)
+    ch = cfg.config_hash()
+    # resume: buckets already committed for this input + config
+    skip = frozenset(load_committed(out_dir, fp, ch))
+    manifest_rows = _roll_buckets(
+        dp_ds, cfg, out_dir, fp, ch, skip, key_col, order_col, incremental=False
+    )
+    return merge_run_manifest(out_dir, fp, ch), manifest_rows
+
+
+def append_rollup(
+    dp_ds,
+    cfg: EngineConfig,
+    new_paths: list[str],
+    out_dir: str | None = None,
+    key_col: str = "series_key",
+    order_col: str | None = "order",
+):
+    """Continuous aggregate: fold NEW input into existing rollup blocks.
+
+    Only the new datapoints are read and combiner-reduced; each bucket
+    merge pulls its existing blocks (already merge-state, per tier —
+    so per-tier retention horizons are respected) and re-commits. Idempotent per (bucket, new-input fingerprint): a rerun
+    after a crash skips buckets that already applied this append — the
+    north rule's "resumes without re-rolling completed windows".
+    """
+    out_dir = out_dir or cfg.output_dir
+    validate_tiers(cfg.tiers)
+    new_fp = input_fingerprint(new_paths)
+    ch = cfg.config_hash()
+
+    # buckets that already applied this exact append (crash rerun)
+    skip = frozenset(
+        int(m["bucket"])
+        for _, m in iter_bucket_manifests(out_dir)
+        if m.get("config_hash") == ch and new_fp in (m.get("applied") or [])
+    )
+    manifest_rows = _roll_buckets(
+        dp_ds, cfg, out_dir, new_fp, ch, skip, key_col, order_col, incremental=True
+    )
+    return merge_run_manifest_any(out_dir, ch), manifest_rows
 
 
 def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
     """Run-manifest merge across buckets regardless of append history
     (used by the incremental path, where per-bucket combined
     fingerprints are equal only once every bucket caught up)."""
-    import json
-
-    from beamium_ray.state.manifest import iter_bucket_manifests
-
     counters: dict[str, int] = {}
     blocks: list[dict] = []
     buckets = []
@@ -384,6 +338,57 @@ def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
     return run
 
 
+# A decode group holds at least this many block bytes. Each group costs
+# one Ray task (~30 ms, about the decode time of 0.5 MB on a 4-vCPU
+# Xeon VM), so smaller groups spend more on tasks than on decoding.
+DECODE_GROUP_BYTES = 1 << 19
+
+
+def plan_blocks(out_dir: str, tier: str, min_window: int | None = None,
+                max_window: int | None = None) -> list[tuple[str, int]]:
+    """(path, bytes) of the committed ``tier`` blocks a window range
+    needs, in manifest order. Only manifests consistent with the
+    committed _run manifest are visible (stale buckets from a prior run
+    over other input/config must not leak into results — ADVICE r1), and
+    blocks whose [min_window, max_window] misses the range are pruned
+    unread."""
+    plan = []
+    for _, m in committed_bucket_manifests(out_dir):
+        for b in m.get("blocks") or []:
+            if b.get("tier") != tier:
+                continue
+            if min_window is not None and b["max_window"] < min_window:
+                continue
+            if max_window is not None and b["min_window"] > max_window:
+                continue
+            plan.append((os.path.join(out_dir, b["path"]), int(b["bytes"])))
+    return plan
+
+
+def _decode_groups(plan: list[tuple[str, int]], max_groups: int) -> list[list[str]]:
+    """Split a plan into at most ``max_groups`` contiguous groups of
+    about equal bytes, each of at least ``DECODE_GROUP_BYTES`` (a
+    smaller plan is one group)."""
+    left = sum(n for _, n in plan)
+    k = max(1, min(max_groups, left // DECODE_GROUP_BYTES))
+    groups: list[list[str]] = []
+    cur, cur_bytes = [], 0
+    for path, n in plan:
+        cur.append(path)
+        cur_bytes += n
+        # close at this group's share of the bytes still unassigned
+        if (len(groups) < k - 1 and cur_bytes >= DECODE_GROUP_BYTES
+                and cur_bytes * (k - len(groups)) >= left):
+            groups.append(cur)
+            left -= cur_bytes
+            cur, cur_bytes = [], 0
+    if cur and groups and cur_bytes < DECODE_GROUP_BYTES:
+        groups[-1] += cur
+    elif cur:
+        groups.append(cur)
+    return groups
+
+
 def read_blocks_dataset(
     out_dir: str,
     tier: str,
@@ -391,64 +396,37 @@ def read_blocks_dataset(
     max_window: int | None = None,
 ):
     """Query path over persisted blocks: a Ray Dataset of decoded rolled
-    rows, with BLOCK-LEVEL pruning from the manifests — blocks whose
-    [min_window, max_window] range misses the predicate are never read
-    or decoded (the retention engine's read side; window predicates are
-    additionally applied row-level after decode).
-    """
+    rows for one tier, optionally restricted to a window range.
+
+    ``plan_blocks`` prunes by the manifests' window ranges. The surviving
+    blocks are split into contiguous decode groups of at least
+    ``DECODE_GROUP_BYTES`` each, no more groups than the session has Ray
+    CPUs. Each group is one Ray block, decoded by one task that also
+    applies the row-level window filter. Rows come out in manifest
+    order, as from ``read_blocks``."""
+    import ray
     import ray.data
 
-    from beamium_ray.stages.gorilla import decode_block
+    if not ray.is_initialized():
+        ray.init()  # as Ray Data does on first use
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    groups = _decode_groups(plan_blocks(out_dir, tier, min_window, max_window), cpus)
 
-    from beamium_ray.state.manifest import committed_bucket_manifests
-
-    keep_paths = []
-    # only manifests consistent with the committed _run manifest are
-    # visible (stale buckets from a prior run over other input/config
-    # must not leak into query results — ADVICE r1)
-    for _, m in committed_bucket_manifests(out_dir):
-        for b in m.get("blocks") or []:
-            if b.get("tier") != tier:
-                continue
-            if min_window is not None and b["max_window"] < min_window:
-                continue  # pruned: entirely before the range
-            if max_window is not None and b["min_window"] > max_window:
-                continue  # pruned: entirely after
-            keep_paths.append(os.path.join(out_dir, b["path"]))
-
+    # decode_blocks lives in the codec module, so a decode task imports
+    # that alone and not this module's dependencies (polars among them)
     def decode(batch: pa.Table) -> pa.Table:
-        parts = []
-        for path in batch["path"].to_pylist():
-            with open(path, "rb") as f:
-                t = decode_block(f.read())
-            if min_window is not None:
-                t = t.filter(pc.greater_equal(t["window_start"], min_window))
-            if max_window is not None:
-                t = t.filter(pc.less_equal(t["window_start"], max_window))
-            parts.append(t)
-        if not parts:
-            import pyarrow as _pa
+        paths = [p for g in batch["paths"].to_pylist() for p in g]
+        return decode_blocks(paths, min_window, max_window)
 
-            return _pa.table({})
-        return pa.concat_tables(parts)
-
-    paths_ds = ray.data.from_items([{"path": p} for p in keep_paths])
-    return paths_ds.map_batches(decode, batch_format="pyarrow", batch_size=1)
+    ds = ray.data.from_items(
+        [{"paths": g} for g in groups], override_num_blocks=max(1, len(groups))
+    )
+    ds.context.execution_options.preserve_order = True  # this Dataset only
+    return ds.map_batches(decode, batch_format="pyarrow", batch_size=None)
 
 
 def read_blocks(out_dir: str, tier: str) -> pa.Table:
-    """Decode all COMMITTED blocks of one tier (manifest-driven: only
-    files the manifests reference are read — orphans from a crash
-    window are invisible)."""
-    from beamium_ray.stages.gorilla import decode_block
-    from beamium_ray.state.manifest import committed_bucket_manifests
-
-    parts = []
-    for _, m in committed_bucket_manifests(out_dir):
-        for b in m.get("blocks") or []:
-            if b.get("tier") == tier:
-                with open(os.path.join(out_dir, b["path"]), "rb") as f:
-                    parts.append(decode_block(f.read()))
-    if not parts:
-        return pa.table({})
-    return pa.concat_tables(parts)
+    """Decode all COMMITTED blocks of one tier on the driver, in manifest
+    order (``plan_blocks`` + ``decode_blocks``: only files the manifests
+    reference are read — orphans from a crash window are invisible)."""
+    return decode_blocks([p for p, _ in plan_blocks(out_dir, tier)])

@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     skip_totals = {"files_ttl_evicted": 0, "compacted": 0}
-    live = {"ticks": 0, "files_applied": 0}
+    live = {"ticks": 0, "files_applied": 0, "files_replayed": 0}
 
     server = None
     if args.metrics_addr:
@@ -241,12 +241,15 @@ def main(argv: list[str] | None = None) -> int:
 
         from beamium_ray.state.metrics_server import (
             MetricsServer,
+            escape_label_value,
             with_reference_aliases,
         )
 
         def provider():
             vals = {"watch_ticks": live["ticks"],
                     "dedup_files_applied": live["files_applied"],
+                    # crash-heal replays are committed no-ops, not applies
+                    "dedup_files_replayed": live["files_replayed"],
                     "store_files_ttl_evicted":
                         skip_totals["files_ttl_evicted"],
                     "store_files_compacted": skip_totals["compacted"]}
@@ -255,7 +258,8 @@ def main(argv: list[str] | None = None) -> int:
                 os.path.join(args.input, "**", "*.parquet"),
                 recursive=True,
             ))
-            vals[f'directory_files{{directory="{args.input}"}}'] = n
+            d = escape_label_value(args.input)
+            vals[f'directory_files{{directory="{d}"}}'] = n
             return with_reference_aliases(vals)
 
         host, _, port = args.metrics_addr.partition(":")
@@ -271,7 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         live["ticks"] = ticks
         if not (res["applied"] or res["replayed"]):
             return
-        live["files_applied"] += len(res["applied"]) + len(res["replayed"])
+        live["files_applied"] += len(res["applied"])
+        live["files_replayed"] += len(res["replayed"])
         if args.store_ttl_ticks is not None:
             gc = dd.retention(max_ticks=args.store_ttl_ticks)
             skip_totals["files_ttl_evicted"] += gc.get("files_deleted", 0)

@@ -140,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics_addr:
         from beamium_ray.state.metrics_server import (
             MetricsServer,
+            escape_label_value,
             with_reference_aliases,
         )
 
@@ -167,9 +168,8 @@ def main(argv: list[str] | None = None) -> int:
                     for f in fs
                     if f.endswith(".metrics")
                 )
-                vals[
-                    f'directory_files{{directory="{args.input}"}}'
-                ] = n_files
+                d = escape_label_value(args.input)
+                vals[f'directory_files{{directory="{d}"}}'] = n_files
             except OSError:
                 pass
             return with_reference_aliases(vals)

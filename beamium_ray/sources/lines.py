@@ -56,6 +56,12 @@ def read_metric_lines_whole_files(
     kwargs = {"include_paths": True}
     if file_extension:
         kwargs["file_extensions"] = [file_extension]
+    if isinstance(paths, list) and paths:
+        # one read task per listed file: Ray's default sizes read tasks
+        # by total input bytes (~1 MB each), so a larger batch packs
+        # several files into one block and the parse's peak memory
+        # grows with the batch instead of with the largest file
+        kwargs["override_num_blocks"] = len(paths)
     ds = ray.data.read_binary_files(paths, **kwargs)
 
     def split(b: pa.Table) -> pa.Table:

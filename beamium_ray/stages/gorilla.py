@@ -20,7 +20,8 @@ bit-packing is small on rollup outputs. Round-trips are exact
 
 Blocks (``encode_block``/``decode_block``) serialize a whole rolled
 table: dictionary-encoded series keys, DoD window starts, XOR floats,
-validity bitmaps for gap-filled nulls.
+validity bitmaps for gap-filled nulls. ``decode_blocks`` decodes a
+list of block files into one table.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import struct
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 MAGIC = b"BRGB"
 VERSION = 1
@@ -430,3 +432,21 @@ def decode_block(buf: bytes) -> pa.Table:
         if c in cols
     ]
     return pa.table({k: cols[k] for k in order})
+
+
+def decode_blocks(paths: list[str], min_window: int | None = None,
+                  max_window: int | None = None) -> pa.Table:
+    """Decode block files into one table in ``paths`` order, keeping the
+    rows whose ``window_start`` lies in [min_window, max_window]."""
+    parts = []
+    for path in paths:
+        with open(path, "rb") as f:
+            parts.append(decode_block(f.read()))
+    if not parts:
+        return pa.table({})
+    t = pa.concat_tables(parts, promote_options="default")
+    if min_window is not None:
+        t = t.filter(pc.greater_equal(t["window_start"], min_window))
+    if max_window is not None:
+        t = t.filter(pc.less_equal(t["window_start"], max_window))
+    return t

@@ -20,7 +20,10 @@ to guarantee:
    it with the same hash backend (polars xxhash64 build) that rolled
    the store, or a healthy store reports false membership errors;
 4. the manifest's own counters re-derive from its base-tier blocks
-   (``points_rolled`` = base points, ``windows`` = base rows);
+   (``points_rolled`` = base points, ``windows`` = base rows). A
+   manifest from before the ``retention_evicted`` marker (no marker,
+   no ``sha256`` on its blocks) may have been pruned unmarked, so
+   there a mismatch is only a NOTE;
 5. unreferenced ``block-*.bin`` files are reported as ORPHANS — the
    legitimate residue of a crash between a block write and its
    manifest rename (persist.py's crash-window design) — never fatal.
@@ -126,9 +129,9 @@ def fsck(
 ) -> dict:
     """Check a persisted store; returns a verdict dict (see module doc).
 
-    ``ok`` is False only on integrity ERRORS; orphans/torn/stale are
-    informational. ``use_ray=False`` verifies blocks serially in-process
-    (tests, tiny stores)."""
+    ``ok`` is False only on integrity ERRORS; orphans/torn/stale and
+    ``notes`` are informational. ``use_ray=False`` verifies blocks
+    serially in-process (tests, tiny stores)."""
     from beamium_ray.state.manifest import (
         committed_bucket_manifests,
         iter_bucket_manifests,
@@ -146,6 +149,7 @@ def fsck(
     stale = len(readable) - len(committed)
 
     errors: list[str] = []
+    notes: list[str] = []
 
     # manifest-internal counter / watermark re-derivation (driver-side:
     # pure metadata arithmetic)
@@ -173,10 +177,12 @@ def fsck(
                 for t in tiers
             }
             if want not in got.values():
-                errors.append(
+                msg = (
                     f"{os.path.basename(path)}: counters {want} re-derive "
                     f"from no tier (per-tier sums {got})"
                 )
+                pre_marker = not any(b.get("sha256") for b in blocks)
+                (notes if pre_marker else errors).append(msg)
 
     expected = _expected_rows(out_dir)
 
@@ -255,6 +261,7 @@ def fsck(
         "orphan_blocks": orphans,
         "errors": errors[:50],
         "n_errors": len(errors),
+        "notes": notes[:50],
     }
 
 

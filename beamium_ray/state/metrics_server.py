@@ -55,6 +55,12 @@ def with_reference_aliases(
     return out
 
 
+def escape_label_value(v: str) -> str:
+    """Escape a label value for the text exposition format: backslash,
+    double quote and newline."""
+    return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def render_prometheus(values: Mapping[str, float]) -> str:
     """Render counters in the text exposition format. Keys may carry
     labels already (``name{k="v"}``); invalid chars in bare names are

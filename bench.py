@@ -2,7 +2,8 @@
 
 Prints ONE JSON line:
   {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "points_per_sec": ...}
+   "queries": {...}, "sf": ..., "os_cpu_count": N, "ray_cpus": M,
+   "points_per_sec": ...}
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
      RAY_GRAFT_CPUS (default 32),
@@ -233,24 +234,13 @@ def main():
         "unit": "sec",
         "queries": queries,
         "sf": sf_name(),
-        "num_cpus": NUM_CPUS,
+        "os_cpu_count": os.cpu_count(),
+        "ray_cpus": int(ray.cluster_resources().get("CPU", 0)),
         "rows_in": head["rows_in"],
         "points_rolled": head["points_rolled"],
         "points_per_sec": head["points_per_sec"],
         "host_probe": {"before": probe_before, "after": probe_after},
     }
-    # attach the latest interleaved A/B comparison (bench.py --paired
-    # <prev_ref>) so the per-round BENCH snapshot carries
-    # ratio_vs_prev measured under the variance protocol
-    paired_path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "BENCH_paired.json"
-    )
-    if os.path.exists(paired_path):
-        try:
-            with open(paired_path) as f:
-                result["paired"] = json.load(f)
-        except Exception:
-            pass
     print(json.dumps(result))
     ray.shutdown()
 
@@ -318,7 +308,8 @@ def paired(prev_ref: str, pairs: int = 2):
         "prev_ref": prev_ref,
         "pairs": pairs,
         "sf": sf_name(),
-        "num_cpus": NUM_CPUS,
+        "os_cpu_count": os.cpu_count(),
+        "ray_cpus": NUM_CPUS,
         "headline_sec_new": head_new,
         "headline_sec_prev": head_prev,
         "headline_ratio": round(head_new / head_prev, 3),

@@ -316,6 +316,65 @@ def test_dedup_watch_metrics_endpoint(tmp_path):
 
 
 @pytest.mark.slow
+def test_dedup_watch_replay_not_counted_as_applied(tmp_path):
+    """A crash-heal replay (the batch committed to the store but never
+    promoted to 'seen') counts in dedup_files_replayed and leaves
+    dedup_files_applied unchanged."""
+    import time
+    import urllib.request
+
+    from beamium_ray.state.manifest import input_fingerprint
+
+    landing = tmp_path / "landing"
+    landing.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                  "text": pa.array(["a doc", "b doc"])}),
+        landing / "b1.parquet",
+    )
+    store = str(tmp_path / "store")
+    _run_cli(["--input", str(landing), "--store", store, "--mode", "exact",
+              "--scan-period", "0.1", "--max-ticks", "1", "--num-cpus", "4"])
+    # roll the watcher back to the crash window: pending, not seen
+    state = os.path.join(store, "_run", "watch.json")
+    st = json.load(open(state))
+    files, st["seen"] = st["seen"], []
+    st["pending"] = {"files": files, "fingerprint": input_fingerprint(files)}
+    with open(state, "w") as f:
+        json.dump(st, f)
+
+    p = subprocess.Popen(
+        [sys.executable, "-m", "beamium_ray.run_dedup_watch",
+         "--input", str(landing), "--store", store,
+         "--mode", "exact", "--scan-period", "0.5", "--max-ticks", "60",
+         "--num-cpus", "4", "--metrics-addr", "127.0.0.1:0"],
+        env={**os.environ, "PYTHONPATH": REPO}, cwd=REPO,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    try:
+        url, tick = None, None
+        deadline = time.time() + 120
+        while time.time() < deadline and tick is None:
+            line = p.stdout.readline()
+            if not line:
+                time.sleep(0.1)
+                continue
+            d = json.loads(line)
+            url = d.get("metrics_url", url)
+            if d.get("tick"):
+                tick = d
+        assert url and tick, "daemon never reported its replay tick"
+        body = urllib.request.urlopen(url, timeout=10).read().decode()
+    finally:
+        p.kill()
+        p.wait()
+    assert tick["replayed_files"] == 1 and tick["applied_files"] == 0
+    assert "beamium_dedup_files_applied 0" in body
+    assert "beamium_dedup_files_replayed 1" in body
+    assert json.load(open(state))["pending"] is None
+
+
+@pytest.mark.slow
 def test_dedup_watch_cli_span_output(tmp_path):
     """Span mode lands the CLEANED batch under --output/shard=<fp>/;
     a duplicate window straddling two ticks is removed in tick 2."""

@@ -112,6 +112,38 @@ def test_fsck_retention_pruned_store_is_healthy(ray_session):
     assert out["ok"], out["errors"]
 
 
+def test_fsck_pre_marker_retained_store_is_healthy(ray_session):
+    """A store retained by code older than the retention_evicted marker
+    has no marker and no sha256 on its blocks: its counters no longer
+    re-derive, which fsck reports as a note, not an error. The same
+    mismatch on a manifest whose blocks carry sha256 stays an error."""
+    from beamium_ray.state.retention import apply_retention
+
+    _roll(ray_session)
+    apply_retention(OUT, ttl_us={"1m": 1_000_000}, max_bytes=None,
+                    now_us=60_000_000)
+    mdir = os.path.join(OUT, "_manifests")
+    for name in sorted(os.listdir(mdir)):
+        mpath = os.path.join(mdir, name)
+        m = json.load(open(mpath))
+        m.pop("retention_evicted", None)
+        for b in m["blocks"]:
+            b.pop("sha256", None)
+        with open(mpath, "w") as f:
+            json.dump(m, f)
+    res = fsck(OUT, deep=True, use_ray=False)
+    assert res["ok"], res["errors"]
+    assert res["notes"] and all("re-derive" in n for n in res["notes"])
+
+    m = json.load(open(mpath))
+    m["blocks"][0]["sha256"] = "0" * 16  # a post-marker manifest
+    with open(mpath, "w") as f:
+        json.dump(m, f)
+    res = fsck(OUT, deep=False, use_ray=False)
+    assert not res["ok"]
+    assert any("re-derive" in e for e in res["errors"])
+
+
 def test_fsck_orphan_sweep_with_metadata_like_path(ray_session, tmp_path):
     """The metadata-tree skip must match path COMPONENTS relative to
     the store root — an out_dir whose own path contains '_run' must not

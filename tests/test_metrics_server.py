@@ -132,3 +132,53 @@ def test_watch_cli_serves_metrics(tmp_path):
     finally:
         p.terminate()
         p.wait(timeout=60)
+
+
+def test_label_value_escaping(tmp_path):
+    r"""A spool path containing '"' and '\' still yields a valid
+    directory_files line: the label value is escaped, and unescaping
+    it gives the path back."""
+    import os
+    import re
+    import subprocess
+    import sys
+    import time
+
+    from beamium_ray.state.metrics_server import escape_label_value
+
+    assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
+
+    spool = tmp_path / 'sp"o\\ol'
+    spool.mkdir()
+    (spool / "a.metrics").write_text(
+        'seq.m{env="prod"} 1.5 1700000000000\n')
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))}
+    p = subprocess.Popen(
+        [sys.executable, "-m", "beamium_ray.run_watch",
+         "--input", str(spool), "--output", str(tmp_path / "out"),
+         "--scan-period", "0.3", "--max-ticks", "60",
+         "--num-cpus", "4", "--metrics-addr", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        url = json.loads(p.stdout.readline())["metrics_url"]
+        deadline = time.monotonic() + 120
+        lines: list[str] = []
+        while time.monotonic() < deadline and not lines:
+            try:
+                body = _get(url)[1]
+                lines = [ln for ln in body.splitlines()
+                         if ln.startswith("beamium_directory_files{")]
+            except OSError:
+                pass
+            time.sleep(0.5)
+    finally:
+        p.terminate()
+        p.wait(timeout=60)
+    assert len(lines) == 1, lines
+    m = re.fullmatch(r'beamium_directory_files\{directory="((?:[^"\\\n]|\\.)*)"\} 1',
+                     lines[0])
+    assert m, lines[0]
+    unescaped = re.sub(r"\\(.)", lambda g: {"n": "\n"}.get(g[1], g[1]), m[1])
+    assert unescaped == str(spool)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import shutil
 
 import numpy as np
@@ -57,11 +58,36 @@ def test_warp10_malformed_dropped():
     assert p.num_rows == 1
 
 
-def test_read_blocks_dataset_pruning(ray_session, tmp_path):
+def test_decode_groups_contiguous_and_sized():
+    """Decode groups keep manifest order, never outnumber the CPUs or
+    ceil(plan bytes / target), and each holds at least the target."""
+    import random
+
+    from beamium_ray.pipelines.persist import DECODE_GROUP_BYTES as T
+    from beamium_ray.pipelines.persist import _decode_groups
+
+    rng = random.Random(7)
+    for _ in range(2000):
+        plan = [(f"b{i}", rng.choice([0, T // 50, T // 3, T, 3 * T])
+                 + rng.randint(0, 999)) for i in range(rng.randint(0, 30))]
+        cpus = rng.randint(1, 8)
+        groups = _decode_groups(plan, cpus)
+        assert [p for g in groups for p in g] == [p for p, _ in plan]
+        total = sum(n for _, n in plan)
+        assert len(groups) <= min(cpus, max(1, math.ceil(total / T)))
+        size = dict(plan)
+        if len(groups) > 1:
+            assert all(sum(size[p] for p in g) >= T for g in groups)
+
+
+def test_read_blocks_dataset_pruning(ray_session, tmp_path, monkeypatch):
     import ray.data
 
     from beamium_ray.config import EngineConfig
+    from beamium_ray.pipelines import persist
     from beamium_ray.pipelines.persist import (
+        DECODE_GROUP_BYTES,
+        plan_blocks,
         read_blocks,
         read_blocks_dataset,
         rollup_to_blocks,
@@ -83,15 +109,19 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path):
     cfg = EngineConfig(tiers={"1m": 60_000}, num_buckets=4, output_dir=out)
     rollup_to_blocks(ray.data.from_arrow(t).repartition(4), cfg, ["mem://x"], out)
 
+    def rows(ds):
+        return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
+
     whole = read_blocks(out, "1m")
-    ds_all = read_blocks_dataset(out, "1m")
-    got = pa.concat_tables(list(ds_all.iter_batches(batch_format="pyarrow")))
-    assert got.num_rows == whole.num_rows
+    plan_bytes = sum(b for _, b in plan_blocks(out, "1m"))
+    cap = min(4, math.ceil(plan_bytes / DECODE_GROUP_BYTES))
+    assert read_blocks_dataset(out, "1m").materialize().num_blocks() <= cap
+    got = rows(read_blocks_dataset(out, "1m"))
+    assert got.equals(whole)  # manifest order, row for row, no sort
     assert pc.sum(got["n"]).as_py() == n
 
     lo, hi = 1_200_000, 4_800_000
-    ds_rng = read_blocks_dataset(out, "1m", min_window=lo, max_window=hi)
-    sub = pa.concat_tables(list(ds_rng.iter_batches(batch_format="pyarrow")))
+    sub = rows(read_blocks_dataset(out, "1m", min_window=lo, max_window=hi))
     ws = sub["window_start"].to_numpy()
     assert ws.min() >= lo and ws.max() <= hi
     want = whole.filter(
@@ -100,7 +130,14 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path):
             pc.less_equal(whole["window_start"], hi),
         )
     )
-    assert sub.num_rows == want.num_rows
+    assert sub.equals(want)
+
+    # a tiny byte target splits the 4 blocks into several decode
+    # groups; they still come back in manifest order
+    monkeypatch.setattr(persist, "DECODE_GROUP_BYTES", 1)
+    ds = read_blocks_dataset(out, "1m")
+    assert 1 < ds.materialize().num_blocks() <= 4
+    assert rows(ds).equals(whole)
     # fully-out-of-range prune reads nothing
     ds_none = read_blocks_dataset(out, "1m", min_window=10**15)
     assert sum(b.num_rows for b in ds_none.iter_batches(batch_format="pyarrow")) == 0
@@ -236,6 +273,25 @@ def test_warp10_continuation_never_crosses_files(ray_session, tmp_path):
         (20, "m.b", "y=2", 3.0),
         (21, "m.b", "y=2", 4.0),
     ]
+
+
+def test_whole_files_listed_one_block_per_file(ray_session, tmp_path):
+    """A listed batch reads one file per block however many files it
+    has, so a block's size (and the parse's memory) is bounded by the
+    largest file; Ray's default would pack ~1 MB of input per block."""
+    from beamium_ray.sources.lines import read_metric_lines_whole_files
+
+    d = tmp_path / "spool"
+    d.mkdir()
+    line = "10// m.a{x=1} 1\n"
+    files = []
+    for i in range(20):
+        p = d / f"f{i:02d}.metrics"
+        p.write_text(line * (20_000 if i < 8 else 500))  # ~0.3 MB / 8 KB
+        files.append(str(p))
+    m = read_metric_lines_whole_files(files).materialize()
+    assert m.num_blocks() == len(files)
+    assert m.count() == 8 * 20_000 + 12 * 500
 
 
 def test_minhash_dedup_many_exact_dups_cap(ray_session):
