@@ -338,12 +338,6 @@ def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
     return run
 
 
-# A decode group holds at least this many block bytes. Each group costs
-# one Ray task (~30 ms, about the decode time of 0.5 MB on a 4-vCPU
-# Xeon VM), so smaller groups spend more on tasks than on decoding.
-DECODE_GROUP_BYTES = 1 << 19
-
-
 def plan_blocks(out_dir: str, tier: str, min_window: int | None = None,
                 max_window: int | None = None) -> list[tuple[str, int]]:
     """(path, bytes) of the committed ``tier`` blocks a window range
@@ -365,30 +359,6 @@ def plan_blocks(out_dir: str, tier: str, min_window: int | None = None,
     return plan
 
 
-def _decode_groups(plan: list[tuple[str, int]], max_groups: int) -> list[list[str]]:
-    """Split a plan into at most ``max_groups`` contiguous groups of
-    about equal bytes, each of at least ``DECODE_GROUP_BYTES`` (a
-    smaller plan is one group)."""
-    left = sum(n for _, n in plan)
-    k = max(1, min(max_groups, left // DECODE_GROUP_BYTES))
-    groups: list[list[str]] = []
-    cur, cur_bytes = [], 0
-    for path, n in plan:
-        cur.append(path)
-        cur_bytes += n
-        # close at this group's share of the bytes still unassigned
-        if (len(groups) < k - 1 and cur_bytes >= DECODE_GROUP_BYTES
-                and cur_bytes * (k - len(groups)) >= left):
-            groups.append(cur)
-            left -= cur_bytes
-            cur, cur_bytes = [], 0
-    if cur and groups and cur_bytes < DECODE_GROUP_BYTES:
-        groups[-1] += cur
-    elif cur:
-        groups.append(cur)
-    return groups
-
-
 def read_blocks_dataset(
     out_dir: str,
     tier: str,
@@ -398,31 +368,19 @@ def read_blocks_dataset(
     """Query path over persisted blocks: a Ray Dataset of decoded rolled
     rows for one tier, optionally restricted to a window range.
 
-    ``plan_blocks`` prunes by the manifests' window ranges. The surviving
-    blocks are split into contiguous decode groups of at least
-    ``DECODE_GROUP_BYTES`` each, no more groups than the session has Ray
-    CPUs. Each group is one Ray block, decoded by one task that also
-    applies the row-level window filter. Rows come out in manifest
-    order, as from ``read_blocks``."""
-    import ray
+    ``plan_blocks`` prunes by the manifests' window ranges, and
+    ``decode_blocks`` decodes the surviving blocks on the driver with
+    the row-level window filter. The Dataset is that one table, so rows
+    come in manifest order, as from ``read_blocks``. Decoding in Ray
+    tasks does not pay at the stores measured so far (1.7 MB in the
+    watch benchmark's 1m tier): each task costs about as much as
+    decoding 0.5 MB."""
     import ray.data
 
-    if not ray.is_initialized():
-        ray.init()  # as Ray Data does on first use
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    groups = _decode_groups(plan_blocks(out_dir, tier, min_window, max_window), cpus)
-
-    # decode_blocks lives in the codec module, so a decode task imports
-    # that alone and not this module's dependencies (polars among them)
-    def decode(batch: pa.Table) -> pa.Table:
-        paths = [p for g in batch["paths"].to_pylist() for p in g]
-        return decode_blocks(paths, min_window, max_window)
-
-    ds = ray.data.from_items(
-        [{"paths": g} for g in groups], override_num_blocks=max(1, len(groups))
+    return ray.data.from_arrow(
+        decode_blocks([p for p, _ in plan_blocks(out_dir, tier, min_window, max_window)],
+                      min_window, max_window)
     )
-    ds.context.execution_options.preserve_order = True  # this Dataset only
-    return ds.map_batches(decode, batch_format="pyarrow", batch_size=None)
 
 
 def read_blocks(out_dir: str, tier: str) -> pa.Table:

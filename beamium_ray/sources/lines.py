@@ -10,9 +10,17 @@ logic (SURVEY.md S2 mapping).
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 
 from beamium_ray.stages.parse import format_warp10_batch, parse_table
+
+# Input bytes per read task of a listed spool batch. Parsing holds tens
+# of times its input in memory (a 1.8 MB Sensision file peaks at about
+# 100 MB), and Ray sizes read tasks at ~1 MB of input, which puts two
+# large files in one task once a batch lists more files than it has MB.
+READ_TASK_BYTES = 1 << 19
 
 
 def read_metric_lines(paths: str | list[str], file_extension: str | None = "metrics"):
@@ -57,11 +65,11 @@ def read_metric_lines_whole_files(
     if file_extension:
         kwargs["file_extensions"] = [file_extension]
     if isinstance(paths, list) and paths:
-        # one read task per listed file: Ray's default sizes read tasks
-        # by total input bytes (~1 MB each), so a larger batch packs
-        # several files into one block and the parse's peak memory
-        # grows with the batch instead of with the largest file
-        kwargs["override_num_blocks"] = len(paths)
+        # one task per READ_TASK_BYTES of input and never more than one
+        # per file, so a batch of many small files still gets a task or
+        # two (each task costs ~15 ms)
+        total = sum(os.path.getsize(p) for p in paths)
+        kwargs["override_num_blocks"] = max(1, min(len(paths), -(-total // READ_TASK_BYTES)))
     ds = ray.data.read_binary_files(paths, **kwargs)
 
     def split(b: pa.Table) -> pa.Table:

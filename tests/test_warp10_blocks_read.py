@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import shutil
 
 import numpy as np
@@ -58,35 +57,11 @@ def test_warp10_malformed_dropped():
     assert p.num_rows == 1
 
 
-def test_decode_groups_contiguous_and_sized():
-    """Decode groups keep manifest order, never outnumber the CPUs or
-    ceil(plan bytes / target), and each holds at least the target."""
-    import random
-
-    from beamium_ray.pipelines.persist import DECODE_GROUP_BYTES as T
-    from beamium_ray.pipelines.persist import _decode_groups
-
-    rng = random.Random(7)
-    for _ in range(2000):
-        plan = [(f"b{i}", rng.choice([0, T // 50, T // 3, T, 3 * T])
-                 + rng.randint(0, 999)) for i in range(rng.randint(0, 30))]
-        cpus = rng.randint(1, 8)
-        groups = _decode_groups(plan, cpus)
-        assert [p for g in groups for p in g] == [p for p, _ in plan]
-        total = sum(n for _, n in plan)
-        assert len(groups) <= min(cpus, max(1, math.ceil(total / T)))
-        size = dict(plan)
-        if len(groups) > 1:
-            assert all(sum(size[p] for p in g) >= T for g in groups)
-
-
-def test_read_blocks_dataset_pruning(ray_session, tmp_path, monkeypatch):
+def test_read_blocks_dataset_pruning(ray_session, tmp_path):
     import ray.data
 
     from beamium_ray.config import EngineConfig
-    from beamium_ray.pipelines import persist
     from beamium_ray.pipelines.persist import (
-        DECODE_GROUP_BYTES,
         plan_blocks,
         read_blocks,
         read_blocks_dataset,
@@ -113,9 +88,9 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path, monkeypatch):
         return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
     whole = read_blocks(out, "1m")
-    plan_bytes = sum(b for _, b in plan_blocks(out, "1m"))
-    cap = min(4, math.ceil(plan_bytes / DECODE_GROUP_BYTES))
-    assert read_blocks_dataset(out, "1m").materialize().num_blocks() <= cap
+    assert len(plan_blocks(out, "1m")) == 4  # one block per bucket
+    # decoded on the driver: one Ray block, whatever the plan's size
+    assert read_blocks_dataset(out, "1m").materialize().num_blocks() == 1
     got = rows(read_blocks_dataset(out, "1m"))
     assert got.equals(whole)  # manifest order, row for row, no sort
     assert pc.sum(got["n"]).as_py() == n
@@ -131,13 +106,6 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path, monkeypatch):
         )
     )
     assert sub.equals(want)
-
-    # a tiny byte target splits the 4 blocks into several decode
-    # groups; they still come back in manifest order
-    monkeypatch.setattr(persist, "DECODE_GROUP_BYTES", 1)
-    ds = read_blocks_dataset(out, "1m")
-    assert 1 < ds.materialize().num_blocks() <= 4
-    assert rows(ds).equals(whole)
     # fully-out-of-range prune reads nothing
     ds_none = read_blocks_dataset(out, "1m", min_window=10**15)
     assert sum(b.num_rows for b in ds_none.iter_batches(batch_format="pyarrow")) == 0
@@ -275,23 +243,33 @@ def test_warp10_continuation_never_crosses_files(ray_session, tmp_path):
     ]
 
 
-def test_whole_files_listed_one_block_per_file(ray_session, tmp_path):
-    """A listed batch reads one file per block however many files it
-    has, so a block's size (and the parse's memory) is bounded by the
-    largest file; Ray's default would pack ~1 MB of input per block."""
-    from beamium_ray.sources.lines import read_metric_lines_whole_files
+def test_whole_files_read_tasks_sized_by_bytes(ray_session, tmp_path):
+    """A listed batch gets one read task per READ_TASK_BYTES of input,
+    never more than one per file: large files are parsed one per task
+    (Ray's default, ~1 MB of input per task but at least two per CPU,
+    would pair some of these ten), while many small files share one
+    task (the default would start eight)."""
+    from beamium_ray.sources.lines import READ_TASK_BYTES, read_metric_lines_whole_files
 
+    line = "10// m.a{x=1} 1\n"
     d = tmp_path / "spool"
     d.mkdir()
-    line = "10// m.a{x=1} 1\n"
-    files = []
-    for i in range(20):
-        p = d / f"f{i:02d}.metrics"
-        p.write_text(line * (20_000 if i < 8 else 500))  # ~0.3 MB / 8 KB
-        files.append(str(p))
-    m = read_metric_lines_whole_files(files).materialize()
-    assert m.num_blocks() == len(files)
-    assert m.count() == 8 * 20_000 + 12 * 500
+    big, small = [], []
+    per_big = READ_TASK_BYTES * 6 // 5 // len(line)
+    for i in range(10):
+        p = d / f"big{i}.metrics"
+        p.write_text(line * per_big)
+        big.append(str(p))
+    for i in range(40):
+        p = d / f"small{i:02d}.metrics"
+        p.write_text(line * 100)
+        small.append(str(p))
+    m = read_metric_lines_whole_files(big).materialize()
+    assert m.num_blocks() == len(big)
+    assert m.count() == len(big) * per_big
+    m = read_metric_lines_whole_files(small).materialize()
+    assert m.num_blocks() == 1
+    assert m.count() == 40 * 100
 
 
 def test_minhash_dedup_many_exact_dups_cap(ray_session):
