@@ -31,6 +31,7 @@ from beamium_ray.state.manifest import (
     atomic_write_bytes,
     commit_bucket_manifest,
     committed_bucket_manifests,
+    fold_run_manifest,
     input_fingerprint,
     iter_bucket_manifests,
     load_committed,
@@ -309,33 +310,12 @@ def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
     """Run-manifest merge across buckets regardless of append history
     (used by the incremental path, where per-bucket combined
     fingerprints are equal only once every bucket caught up)."""
-    counters: dict[str, int] = {}
-    blocks: list[dict] = []
-    buckets = []
-    watermark = None
-    for _, m in iter_bucket_manifests(out_dir):
-        if m.get("config_hash") != config_hash:
-            continue
-        buckets.append(int(m["bucket"]))
-        for k, v in (m.get("counters") or {}).items():
-            counters[k] = counters.get(k, 0) + v
-        blocks.extend(m.get("blocks") or [])
-        w = m.get("watermark")
-        if w is not None:
-            watermark = w if watermark is None else max(watermark, w)
-    run = {
-        "config_hash": config_hash,
-        "buckets_committed": sorted(buckets),
-        "n_blocks": len(blocks),
-        "total_block_bytes": sum(b.get("bytes", 0) for b in blocks),
-        "counters": counters,
-        "watermark": watermark,
-    }
-    atomic_write_bytes(
-        os.path.join(out_dir, "_run", "manifest.json"),
-        json.dumps(run, sort_keys=True, indent=1).encode(),
+    return fold_run_manifest(
+        out_dir,
+        (m for _, m in iter_bucket_manifests(out_dir)
+         if m.get("config_hash") == config_hash),
+        config_hash=config_hash,
     )
-    return run
 
 
 def plan_blocks(out_dir: str, tier: str, min_window: int | None = None,

@@ -33,7 +33,8 @@ from __future__ import annotations
 import glob
 import json
 import os
-import time
+import queue
+import signal
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -65,9 +66,16 @@ def metrics_datapoints(files: list[str], cfg: EngineConfig,
     return dp.map_batches(key, batch_format="pyarrow", batch_size=None)
 
 
+def spool_files(input_dir: str, ext: str) -> list[str]:
+    """Every ``*.<ext>`` file under ``input_dir`` (recursive), the
+    watcher's scan set — the reference's extension gate
+    (``src/lib/asynch/fs.rs:83``, constants.rs:7)."""
+    return glob.glob(os.path.join(input_dir, "**", f"*.{ext}"), recursive=True)
+
+
 class FileBatch(list):
-    """The file list handed to two-parameter appenders, carrying the
-    INTENT-TIME batch fingerprint from the watcher's pending record.
+    """The file list handed to appenders, carrying the INTENT-TIME
+    batch fingerprint from the watcher's pending record.
     Appenders must derive their idempotence key from this fingerprint
     (not recompute it from the files): a producer touching a pending
     file between the intent write and the append would otherwise key
@@ -114,11 +122,13 @@ class DirectoryWatcher:
         self.loader = loader or (
             lambda files: metrics_datapoints(files, self.cfg, self.now_us)
         )
-        # `appender(dataset) -> run manifest` replaces the rollup append
-        # for non-rollup watch flows (e.g. incremental dedup over a
-        # document landing dir) while keeping the two-phase pending/seen
-        # exactly-once protocol. The appender must be IDEMPOTENT per
-        # file batch — a crash between append and promotion replays it.
+        # `appender(dataset, files) -> run manifest` replaces the rollup
+        # append for non-rollup watch flows (e.g. incremental dedup over
+        # a document landing dir) while keeping the two-phase
+        # pending/seen exactly-once protocol. `files` is the FileBatch
+        # carrying the intent-time fingerprint: the appender must be
+        # IDEMPOTENT per batch (key it on files.fingerprint) — a crash
+        # between append and promotion replays it.
         self.appender = appender
         # seen_prune: drop 'seen' entries whose files no longer exist
         # (checked at each promotion). Keeps the durable seen-set —
@@ -219,17 +229,13 @@ class DirectoryWatcher:
     def scan(self, st: dict | None = None) -> list[str]:
         """Unseen spool files, sorted (deterministic batch order).
 
-        Only ``*.<ext>`` files are considered, mirroring the reference's
-        extension gate (``src/lib/asynch/fs.rs:83``, constants.rs:7).
+        Only ``*.<ext>`` files are considered (:func:`spool_files`).
         """
         st = st or self._load_state()
         exclude = set(st["seen"])
         if st.get("pending"):
             exclude.update(st["pending"]["files"])
-        found = glob.glob(
-            os.path.join(self.input_dir, "**", f"*.{self.ext}"),
-            recursive=True,
-        )
+        found = spool_files(self.input_dir, self.ext)
         tomb = st.get("tombstones") or {}
         out = []
         for p in sorted(found):
@@ -291,22 +297,29 @@ class DirectoryWatcher:
             fb = FileBatch(files)
             fb.fingerprint = want_fp or have_fp
             run = self._append(fb)
-            self._promote(st, files)
+            self._promote(st, files, st["pending"].get("file_fps"))
             replayed = files
 
         new = self.scan(st)
         if new:
-            from beamium_ray.state.manifest import input_fingerprint
+            from beamium_ray.state.manifest import (
+                file_fingerprint,
+                input_fingerprint,
+            )
 
-            st["pending"] = {
-                "files": new,
-                "fingerprint": input_fingerprint(new),
-            }
+            pending = {"files": new, "fingerprint": input_fingerprint(new)}
+            if self.seen_prune:
+                # tombstone fingerprints taken at INTENT time, like the
+                # batch's: a producer appending to a file during the
+                # append must not make its tombstone describe content
+                # that was never ingested
+                pending["file_fps"] = {p: file_fingerprint(p) for p in new}
+            st["pending"] = pending
             self._save_state(st)  # intent BEFORE side effects
             fb = FileBatch(new)
-            fb.fingerprint = st["pending"]["fingerprint"]
+            fb.fingerprint = pending["fingerprint"]
             run = self._append(fb)
-            self._promote(st, new)
+            self._promote(st, new, pending.get("file_fps"))
             applied = new
         if self.seen_prune and self._prune_seen(st):
             self._save_state(st)
@@ -335,11 +348,13 @@ class DirectoryWatcher:
             "reloaded": reloaded,
         }
 
-    def _promote(self, st: dict, files: list[str]) -> None:
+    def _promote(self, st: dict, files: list[str],
+                 file_fps: dict | None) -> None:
         """Promote an applied batch to 'seen' and clear the pending
         intent — the single commit point for both the replay and
-        new-batch paths. With seen_prune on, per-file fingerprints are
-        recorded so a later prune can tombstone them."""
+        new-batch paths. With seen_prune on, the pending record's
+        intent-time per-file fingerprints are recorded so a later prune
+        can tombstone them."""
         st["seen"] = sorted(set(st["seen"]) | set(files))
         if self.seen_prune:
             from beamium_ray.state.manifest import file_fingerprint
@@ -347,7 +362,10 @@ class DirectoryWatcher:
             fps = st.setdefault("seen_fp", {})
             tomb = st.get("tombstones") or {}
             for p in files:
-                fp = file_fingerprint(p)
+                # no file_fps: a replayed intent written without
+                # seen_prune; the replay's batch-fingerprint check
+                # already proved the files unchanged since then
+                fp = file_fps[p] if file_fps else file_fingerprint(p)
                 if fp is not None:
                     fps[p] = fp
                 # new content on a previously-tombstoned path: the live
@@ -379,35 +397,10 @@ class DirectoryWatcher:
             st["seen"] = kept
         return changed
 
-    def _append(self, files: list[str]) -> dict:
+    def _append(self, files: FileBatch) -> dict:
         dp = self.loader(files)
         if self.appender is not None:
-            # two-parameter appenders also receive the FILE BATCH (a
-            # FileBatch carrying the intent-time fingerprint) so they
-            # can derive an idempotence key (e.g. the incremental
-            # dedup stores' batch_key) — decided by signature, not by
-            # catching TypeError (which would mask appender-internal
-            # TypeErrors as arity fallbacks). Only REQUIRED positional
-            # parameters count: `def appender(ds, log=None)` keeps the
-            # one-arg contract (binding the file list into an optional
-            # param would silently corrupt it).
-            import inspect
-
-            try:
-                n = sum(
-                    1
-                    for p in inspect.signature(
-                        self.appender
-                    ).parameters.values()
-                    if p.kind in (p.POSITIONAL_ONLY,
-                                  p.POSITIONAL_OR_KEYWORD)
-                    and p.default is p.empty
-                )
-            except (TypeError, ValueError):
-                n = 1
-            if n >= 2:
-                return self.appender(dp, files)
-            return self.appender(dp)
+            return self.appender(dp, files)
         from beamium_ray.pipelines.persist import append_rollup
 
         run, _rows = append_rollup(
@@ -415,25 +408,37 @@ class DirectoryWatcher:
         )
         return run
 
-    # -- the loop --------------------------------------------------------
-    def run(
-        self,
-        scan_period_s: float = 10.0,
-        max_ticks: int | None = None,
-        idle_exit: int | None = None,
-        on_tick=None,
-    ) -> dict:
-        """Tick every ``scan_period_s`` (the reference's ``scan-period``,
-        ``src/conf.rs:122``) until ``max_ticks`` ticks ran or
-        ``idle_exit`` consecutive empty scans (None = run forever).
-        ``on_tick(res, ticks)`` runs after every tick (CLIs hook
-        per-tick printing / store lifecycle here instead of cloning
-        this loop). Returns the last non-None run manifest."""
-        last_run = None
-        idle = 0
-        ticks = 0
+
+def run_ticks(
+    tick,
+    *,
+    scan_period_s: float,
+    max_ticks: int | None = None,
+    idle_exit: int | None = None,
+    on_tick=None,
+) -> dict:
+    """The daemons' one loop: call ``tick()`` every ``scan_period_s``
+    (the reference's ``scan-period``, ``src/conf.rs:122``) until
+    ``max_ticks`` ticks ran, ``idle_exit`` ticks in a row were idle
+    (``tick()["run"]`` is None; None = no limit) or SIGTERM/SIGINT
+    arrived. ``on_tick(res, ticks)`` runs after every tick. Returns
+    ``{"ticks": n, "run": the last non-None run}``.
+
+    A signal drains (the reference's ``src/main.rs:67-77``): the current
+    tick finishes, the sleep wakes at once, and the loop returns. The
+    handlers replace Ray's driver handler (which ``sys.exit``-s
+    mid-tick) only while the loop runs: call it from the main thread,
+    after ``ray.init``."""
+    # SimpleQueue.put is reentrant, so the handler cannot deadlock
+    # against the sleep's own wait (Event.set can)
+    stop: queue.SimpleQueue = queue.SimpleQueue()
+    sigs = (signal.SIGTERM, signal.SIGINT)
+    prev = [signal.signal(s, lambda signum, _f: stop.put(signum)) for s in sigs]
+    ticks = idle = 0
+    last_run = None
+    try:
         while True:
-            res = self.tick()
+            res = tick()
             ticks += 1
             if on_tick is not None:
                 on_tick(res, ticks)
@@ -446,5 +451,12 @@ class DirectoryWatcher:
                 break
             if idle_exit is not None and idle >= idle_exit:
                 break
-            time.sleep(scan_period_s)
-        return {"ticks": ticks, "run": last_run}
+            try:
+                stop.get(timeout=scan_period_s)
+                break  # signalled during the tick or the sleep
+            except queue.Empty:
+                pass
+    finally:
+        for s, h in zip(sigs, prev):
+            signal.signal(s, h)
+    return {"ticks": ticks, "run": last_run}

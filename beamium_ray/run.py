@@ -73,17 +73,9 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    import ray.data
+    from beamium_ray.cli import start_ray
 
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    start_ray(args.num_cpus)
 
     from beamium_ray.config import EngineConfig
     from beamium_ray.pipelines.persist import rollup_to_blocks

@@ -54,25 +54,36 @@ def _semantic_params(args) -> dict:
 def _check_store_params(args) -> None:
     import os
 
-    from beamium_ray.state.manifest import atomic_write_bytes
-
     want = _semantic_params(args)
     p = os.path.join(args.store, "_cli.json")
-    if os.path.exists(p):
+    if not os.path.exists(p):
+        # first run: create the file EXCLUSIVELY (link fails when the
+        # name exists), so of two daemons starting on one fresh store
+        # the loser re-reads the winner's parameters below and is
+        # refused on a mismatch instead of silently overwriting them
+        os.makedirs(args.store, exist_ok=True)
+        tmp = f"{p}.tmp.{os.getpid()}"
+        with open(tmp, "w") as f:
+            json.dump(want, f, sort_keys=True)
         try:
-            have = json.load(open(p))
-        except (json.JSONDecodeError, OSError):
-            have = None
-        if have != want:
-            raise SystemExit(
-                f"config error: store {args.store!r} was committed with "
-                f"{have} but this run has {want} — restarting with "
-                "different dedup semantics would corrupt the durable "
-                "store; use a fresh --store (or restore the original "
-                "parameters)"
-            )
-    else:
-        atomic_write_bytes(p, json.dumps(want, sort_keys=True).encode())
+            os.link(tmp, p)
+        except FileExistsError:
+            pass
+        finally:
+            os.unlink(tmp)
+    try:
+        with open(p) as f:
+            have = json.load(f)
+    except (json.JSONDecodeError, OSError):
+        have = None
+    if have != want:
+        raise SystemExit(
+            f"config error: store {args.store!r} was committed with "
+            f"{have} but this run has {want} — restarting with "
+            "different dedup semantics would corrupt the durable "
+            "store; use a fresh --store (or restore the original "
+            "parameters)"
+        )
 
 
 def _build(args):
@@ -108,6 +119,8 @@ def _build(args):
 
 
 def main(argv: list[str] | None = None) -> int:
+    from beamium_ray.cli import add_daemon_args, run_daemon
+
     ap = argparse.ArgumentParser(prog="beamium_ray.run_dedup_watch")
     ap.add_argument("--input", required=True,
                     help="landing dir of *.parquet document batches")
@@ -128,10 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     # 0.95 contract and bake the wrong threshold into the store forever
     ap.add_argument("--threshold", type=float, default=None)
     ap.add_argument("--window", type=int, default=50)
-    ap.add_argument("--scan-period", type=float, default=10.0)
-    ap.add_argument("--max-ticks", type=int, default=None)
-    ap.add_argument("--idle-exit", type=int, default=None,
-                    help="exit 0 after K consecutive empty scans")
+    add_daemon_args(ap)
     ap.add_argument("--seen-prune", action="store_true",
                     help="bound the durable seen-set by the live landing "
                          "dir (consumed files tombstoned)")
@@ -139,10 +149,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="expire store partitions older than T ticks")
     ap.add_argument("--compact-every", type=int, default=None,
                     help="compact the store every K committed ticks")
-    ap.add_argument("--num-cpus", type=int, default=None)
-    ap.add_argument("--metrics-addr", default=None,
-                    help="host:port for a live /metrics endpoint "
-                         "(Prometheus text, like run_watch)")
     args = ap.parse_args(argv)
     if args.threshold is None:
         args.threshold = {"minhash": 0.8, "semantic": 0.95}.get(
@@ -173,21 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         print(ex, file=sys.stderr)
         return 2
 
-    import ray
-
-    if not ray.is_initialized():
-        kw = {"include_dashboard": False, "ignore_reinit_error": True,
-              "logging_level": "ERROR"}
-        if args.num_cpus:
-            kw["num_cpus"] = args.num_cpus
-        ray.init(address="local", **kw)
     import ray.data
-
-    ray.data.DataContext.get_current().enable_progress_bars = False
 
     from beamium_ray.config import EngineConfig
     from beamium_ray.pipelines.watch import DirectoryWatcher
-    from beamium_ray.state.manifest import input_fingerprint
 
     dd = _build(args)
 
@@ -196,9 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         # (FileBatch) — recomputing from the files could diverge if a
         # producer touched one in the intent→append window, and a crash
         # replay would then re-ingest the committed batch
-        key = getattr(files, "fingerprint", None) or input_fingerprint(
-            files
-        )
+        key = files.fingerprint
         out = dd.tick(ds, batch_key=key)
         run = {"batch_key": key}
         if args.mode == "span":
@@ -235,43 +228,15 @@ def main(argv: list[str] | None = None) -> int:
     skip_totals = {"files_ttl_evicted": 0, "compacted": 0}
     live = {"ticks": 0, "files_applied": 0, "files_replayed": 0}
 
-    server = None
-    if args.metrics_addr:
-        import glob as _glob
-
-        from beamium_ray.state.metrics_server import (
-            MetricsServer,
-            escape_label_value,
-            with_reference_aliases,
-        )
-
-        def provider():
-            vals = {"watch_ticks": live["ticks"],
-                    "dedup_files_applied": live["files_applied"],
-                    # crash-heal replays are committed no-ops, not applies
-                    "dedup_files_replayed": live["files_replayed"],
-                    "store_files_ttl_evicted":
-                        skip_totals["files_ttl_evicted"],
-                    "store_files_compacted": skip_totals["compacted"]}
-            # the reference's beamium_directory_files{directory} gauge
-            n = len(_glob.glob(
-                os.path.join(args.input, "**", "*.parquet"),
-                recursive=True,
-            ))
-            d = escape_label_value(args.input)
-            vals[f'directory_files{{directory="{d}"}}'] = n
-            return with_reference_aliases(vals)
-
-        host, _, port = args.metrics_addr.partition(":")
-        server = MetricsServer(provider, host or "127.0.0.1",
-                               int(port or 0)).start()
-        print(json.dumps({"metrics_url":
-                          f"http://{server.host}:{server.port}/metrics"}))
-        sys.stdout.flush()
+    def provider():
+        return {"watch_ticks": live["ticks"],
+                "dedup_files_applied": live["files_applied"],
+                # crash-heal replays are committed no-ops, not applies
+                "dedup_files_replayed": live["files_replayed"],
+                "store_files_ttl_evicted": skip_totals["files_ttl_evicted"],
+                "store_files_compacted": skip_totals["compacted"]}
 
     def on_tick(res, ticks):
-        # store lifecycle + per-tick reporting ride DirectoryWatcher's
-        # own loop (one loop, not a CLI clone of it)
         live["ticks"] = ticks
         if not (res["applied"] or res["replayed"]):
             return
@@ -287,21 +252,14 @@ def main(argv: list[str] | None = None) -> int:
             skip_totals["compacted"] += dd.compact()
         print(json.dumps({"tick": ticks, **res["run"],
                           "applied_files": len(res["applied"]),
-                          "replayed_files": len(res["replayed"])}))
-        sys.stdout.flush()
+                          "replayed_files": len(res["replayed"])}),
+              flush=True)
 
-    summary = w.run(
-        scan_period_s=args.scan_period,
-        max_ticks=args.max_ticks,
-        idle_exit=args.idle_exit,
-        on_tick=on_tick,
+    return run_daemon(
+        args, w.tick, on_tick, provider,
+        lambda res: {"ticks": res["ticks"], "mode": args.mode, **skip_totals},
+        "parquet",
     )
-    print(json.dumps({"ticks": summary["ticks"], "mode": args.mode,
-                      **skip_totals}))
-    if server is not None:
-        server.close()
-    ray.shutdown()
-    return 0
 
 
 if __name__ == "__main__":

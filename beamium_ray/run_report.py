@@ -25,14 +25,9 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
-        kw = {"include_dashboard": False, "ignore_reinit_error": True}
-        if args.num_cpus:
-            kw["num_cpus"] = args.num_cpus
-        ray.init(address="local", **kw)
-    import ray.data
+    from beamium_ray.cli import start_ray
 
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    start_ray(args.num_cpus)
 
     from beamium_ray.datapipe.textstats import dataset_report
 

@@ -22,25 +22,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
 def main(argv: list[str] | None = None) -> int:
+    from beamium_ray.cli import add_daemon_args, run_daemon
+
     ap = argparse.ArgumentParser(prog="beamium_ray.run_watch")
     ap.add_argument("--input", required=True, help="spool dir of *.metrics files")
     ap.add_argument("--output", help="block/manifest output dir "
                     "(required unless --relay-url)")
     ap.add_argument("--config", help="YAML/JSON EngineConfig file")
-    ap.add_argument("--scan-period", type=float, default=10.0,
-                    help="seconds between directory scans (ref scan-period)")
-    ap.add_argument("--max-ticks", type=int, default=None)
-    ap.add_argument("--idle-exit", type=int, default=None,
-                    help="stop after K consecutive empty scans")
-    ap.add_argument("--num-cpus", type=int, default=None)
-    ap.add_argument("--metrics-addr", default=None,
-                    help="serve live /metrics at HOST:PORT while the "
-                    "loop runs (ref parameters.metrics, cmd.rs:78-106)")
+    add_daemon_args(ap)
     ap.add_argument("--relay-url", default=None,
                     help="RELAY mode: instead of rolling up, POST each "
                     "tick's new spool files to this sink url and delete "
@@ -80,20 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         verbose=args.verbose,
     )
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    import ray.data
-
-    ray.data.DataContext.get_current().enable_progress_bars = False
-
     from beamium_ray.config import EngineConfig
     from beamium_ray.pipelines.watch import DirectoryWatcher
 
@@ -102,10 +81,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.output:
         cfg.output_dir = args.output
-    w = None
-    relay = None
+    live = {"ticks": 0}
     if args.relay_url:
-        from beamium_ray.sinks import HttpSinkConf
+        from beamium_ray.sinks import HttpSinkConf, forward_spool
 
         # daemon semantics: retry forever with capped backoff (the
         # reference's sender loop never gives up, http.rs:93) — the
@@ -123,111 +101,66 @@ def main(argv: list[str] | None = None) -> int:
         )
         totals = {"files": 0, "bytes": 0, "requests": 0, "retries": 0}
         status_totals: dict[str, int] = {}
+
+        def tick():
+            res = forward_spool(args.input, relay)
+            return {"run": res if res["files"] else None}
+
+        def on_tick(res, ticks):
+            live["ticks"] = ticks
+            run = res["run"]
+            if run is None:
+                return
+            for k in totals:
+                totals[k] += run[k]
+            for st, n in (run.get("status") or {}).items():
+                status_totals[st] = status_totals.get(st, 0) + n
+            print(json.dumps({"tick": ticks, "relay": run}), flush=True)
+
+        def provider():
+            vals = {"watch_ticks": live["ticks"], **totals}  # push counters
+            for st, n in status_totals.items():
+                # ref sink.rs push_http_status{sink,status}
+                vals[f'push_http_status{{status="{st}"}}'] = n
+            return vals
     else:
         w = DirectoryWatcher(
             args.input, cfg, args.output, config_path=args.config
         )
+        tick = w.tick
+        skip_totals = {"blocks_ttl_evicted": 0, "blocks_size_evicted": 0,
+                       "windows_expired": 0}
 
-    import time
-
-    ticks = 0
-    idle = 0
-    last_run = None
-    skip_totals = {"blocks_ttl_evicted": 0, "blocks_size_evicted": 0,
-                   "windows_expired": 0}
-
-    server = None
-    if args.metrics_addr:
-        from beamium_ray.state.metrics_server import (
-            MetricsServer,
-            escape_label_value,
-            with_reference_aliases,
-        )
+        def on_tick(res, ticks):
+            live["ticks"] = ticks
+            if res["run"] is None:
+                return
+            live["run"] = res["run"]
+            for k, v in (res["run"].get("retention") or {}).items():
+                if k in skip_totals:
+                    skip_totals[k] += v
+            print(json.dumps({
+                "tick": ticks,
+                "applied": len(res["applied"]),
+                "replayed": len(res["replayed"]),
+                "reloaded": res["reloaded"],
+                "run": res["run"],
+            }), flush=True)
 
         def provider():
-            vals = {"watch_ticks": ticks}
-            if relay is not None:
-                vals.update(totals)  # the reference's push counters
-                for st, n in status_totals.items():
-                    # ref sink.rs push_http_status{sink,status}
-                    vals[f'push_http_status{{status="{st}"}}'] = n
-            else:
-                vals["reload_count"] = w.reload_count  # ref main.rs:28-32
-                for k, v in ((last_run or {}).get("counters") or {}).items():
-                    vals[k] = v
-                # cumulative eviction counters across ticks (the
-                # reference's beamium_skip_ttl / beamium_skip_max_size
-                # via REF_ALIASES)
-                vals.update(skip_totals)
-            # ref README.md:190 beamium_directory_files{directory}: live
-            # gauge of spool files, computed per scrape
-            try:
-                n_files = sum(
-                    1
-                    for _r, _d, fs in os.walk(args.input)
-                    for f in fs
-                    if f.endswith(".metrics")
-                )
-                d = escape_label_value(args.input)
-                vals[f'directory_files{{directory="{d}"}}'] = n_files
-            except OSError:
-                pass
-            return with_reference_aliases(vals)
+            vals = {"watch_ticks": live["ticks"],
+                    "reload_count": w.reload_count}  # ref main.rs:28-32
+            vals.update((live.get("run") or {}).get("counters") or {})
+            # cumulative eviction counters across ticks (the reference's
+            # beamium_skip_ttl / beamium_skip_max_size via REF_ALIASES)
+            vals.update(skip_totals)
+            return vals
 
-        host, _, port = args.metrics_addr.partition(":")
-        server = MetricsServer(provider, host or "127.0.0.1",
-                               int(port or 0)).start()
-        print(json.dumps({"metrics_url":
-                          f"http://{server.host}:{server.port}/metrics"}))
-        sys.stdout.flush()
-
-    while True:
-        if relay is not None:
-            from beamium_ray.sinks import forward_spool
-
-            res = forward_spool(args.input, relay)
-            ticks += 1
-            if res["files"]:
-                idle = 0
-                for k in totals:
-                    totals[k] += res[k]
-                for st, n in (res.get("status") or {}).items():
-                    status_totals[st] = status_totals.get(st, 0) + n
-                last_run = res
-                print(json.dumps({"tick": ticks, "relay": res}))
-                sys.stdout.flush()
-            else:
-                idle += 1
-        else:
-            res = w.tick()
-            ticks += 1
-            if res["run"] is not None:
-                last_run = res["run"]
-                idle = 0
-                for k, v in (res["run"].get("retention") or {}).items():
-                    if k in skip_totals:
-                        skip_totals[k] += v
-                print(json.dumps({
-                    "tick": ticks,
-                    "applied": len(res["applied"]),
-                    "replayed": len(res["replayed"]),
-                    "reloaded": res["reloaded"],
-                    "run": res["run"],
-                }))
-                sys.stdout.flush()
-            else:
-                idle += 1
-        if args.max_ticks is not None and ticks >= args.max_ticks:
-            break
-        if args.idle_exit is not None and idle >= args.idle_exit:
-            break
-        time.sleep(args.scan_period)
-    if server is not None:
-        server.close()
-    print(json.dumps({"ticks": ticks, "run": last_run}))
-    log_guard.close()
-    ray.shutdown()
-    return 0
+    try:
+        return run_daemon(args, tick, on_tick, provider, lambda res: res,
+                          "metrics")
+    finally:
+        log_guard.close()
 
 
 if __name__ == "__main__":

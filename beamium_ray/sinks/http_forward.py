@@ -391,18 +391,12 @@ def forward_spool(
     backoff from an actor pool, delete acked files. Returns the summary
     counters (the reference's push metrics): files/bytes shipped,
     requests, retries, per-status counts."""
-    import glob as _glob
-
     import ray.data
 
     from beamium_ray.functions.cluster import autoscaling_pool
+    from beamium_ray.pipelines.watch import spool_files
 
-    found = sorted(
-        _glob.glob(
-            os.path.join(spool_dir, "**", f"*.{file_extension}"),
-            recursive=True,
-        )
-    )
+    found = sorted(spool_files(spool_dir, file_extension))
     files = [(p, os.path.getsize(p)) for p in found]
     jobs = plan_post_batches(files, conf.batch_count, conf.batch_size)
     if not jobs:

@@ -282,19 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--num-cpus", type=int, default=None)
     args = ap.parse_args(argv)
 
-    import ray
+    from beamium_ray.cli import start_ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    import ray.data
-
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    start_ray(args.num_cpus)
     res = fsck(
         args.out_dir, deep=not args.shallow, num_buckets=args.num_buckets
     )

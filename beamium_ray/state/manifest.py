@@ -179,10 +179,24 @@ def load_committed(out_dir: str, fingerprint: str, config_hash: str) -> dict[int
 def merge_run_manifest(out_dir: str, fingerprint: str, config_hash: str) -> dict:
     """Merge bucket manifests into _run/manifest.json (committed last)."""
     committed = load_committed(out_dir, fingerprint, config_hash)
+    return fold_run_manifest(
+        out_dir, committed.values(),
+        fingerprint=fingerprint, config_hash=config_hash,
+    )
+
+
+def fold_run_manifest(out_dir: str, manifests, **ident) -> dict:
+    """Fold bucket manifests' counters, blocks and watermark into the
+    run manifest and commit it as ``_run/manifest.json``. ``ident``
+    (fingerprint and/or config_hash) leads the dict: an append run
+    carries no fingerprint, which is how readers tell it apart
+    (:func:`committed_bucket_manifests`)."""
     counters: dict[str, int] = {}
     blocks: list[dict] = []
+    buckets: list[int] = []
     watermark = None
-    for m in committed.values():
+    for m in manifests:
+        buckets.append(int(m["bucket"]))
         for k, v in (m.get("counters") or {}).items():
             counters[k] = counters.get(k, 0) + v
         blocks.extend(m.get("blocks") or [])
@@ -190,9 +204,8 @@ def merge_run_manifest(out_dir: str, fingerprint: str, config_hash: str) -> dict
         if w is not None:
             watermark = w if watermark is None else max(watermark, w)
     run = {
-        "fingerprint": fingerprint,
-        "config_hash": config_hash,
-        "buckets_committed": sorted(committed),
+        **ident,
+        "buckets_committed": sorted(buckets),
         "n_blocks": len(blocks),
         "total_block_bytes": sum(b.get("bytes", 0) for b in blocks),
         "counters": counters,

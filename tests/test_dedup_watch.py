@@ -1,5 +1,5 @@
 """Watch-mode incremental dedup daemon (run_dedup_watch): CLI e2e over
-a parquet landing dir, two-arg appender dispatch, span-mode output."""
+a parquet landing dir, the appender contract, span-mode output."""
 
 from __future__ import annotations
 
@@ -78,9 +78,9 @@ def test_dedup_watch_cli_exact_cross_tick(tmp_path):
 
 
 def test_dedup_watch_appender_receives_files(ray_session, tmp_path):
-    """DirectoryWatcher dispatches by appender arity: a two-parameter
-    appender receives the file batch (the idempotence-key hook); a
-    one-parameter appender keeps the old contract."""
+    """An appender is called as ``appender(ds, files)``: ``files`` is the
+    batch's file list, a FileBatch carrying the pending record's
+    intent-time fingerprint (the idempotence-key hook)."""
     import ray.data
 
     from beamium_ray.config import EngineConfig
@@ -95,34 +95,64 @@ def test_dedup_watch_appender_receives_files(ray_session, tmp_path):
     )
     seen_calls = []
 
-    def two_arg(ds, files):
-        seen_calls.append(("two", sorted(files), ds.count()))
+    def appender(ds, files):
+        pending = w._load_state()["pending"]
+        seen_calls.append((sorted(files), ds.count(), files.fingerprint,
+                           pending["fingerprint"]))
         return {"ok": True}
 
     w = DirectoryWatcher(
         str(landing), EngineConfig(), str(tmp_path / "s1"),
         file_extension="parquet",
         loader=lambda files: ray.data.read_parquet(files),
-        appender=two_arg,
+        appender=appender,
     )
     res = w.tick()
     assert res["run"] == {"ok": True}
-    assert seen_calls == [
-        ("two", [str(landing / "a.parquet")], 1)
-    ]
+    [(files, n, fp, pending_fp)] = seen_calls
+    assert files == [str(landing / "a.parquet")] and n == 1
+    assert fp is not None and fp == pending_fp
 
-    def one_arg(ds):
-        seen_calls.append(("one", ds.count()))
-        return {"ok": 1}
 
-    w2 = DirectoryWatcher(
-        str(landing), EngineConfig(), str(tmp_path / "s2"),
-        file_extension="parquet",
-        loader=lambda files: ray.data.read_parquet(files),
-        appender=one_arg,
-    )
-    assert w2.tick()["run"] == {"ok": 1}
-    assert seen_calls[-1] == ("one", 1)
+def test_dedup_watch_cli_json_first_run_race(tmp_path, monkeypatch, capsys):
+    """Two daemons starting on one fresh store: the one whose
+    ``_cli.json`` create loses the race (the rival's file lands between
+    its existence check and its create) re-reads the winner's
+    parameters and gets the mismatch refusal, exit 2; the winner's
+    file is untouched. Equal parameters pass the check."""
+    import beamium_ray.cli
+    from beamium_ray import run_dedup_watch
+
+    class DaemonStarted(Exception):
+        pass
+
+    def no_daemon(*a, **kw):
+        raise DaemonStarted
+
+    monkeypatch.setattr(beamium_ray.cli, "run_daemon", no_daemon)
+    real_link = os.link
+    rival = {}
+
+    def racing_link(src, dst):
+        with open(dst, "w") as f:  # the other daemon's create lands first
+            json.dump(rival, f)
+        return real_link(src, dst)
+
+    monkeypatch.setattr(os, "link", racing_link)
+    store = tmp_path / "store"
+    args = ["--input", str(tmp_path / "landing"), "--store", str(store),
+            "--mode", "exact"]
+
+    rival.update(mode="exact", text_col="body", id_col="doc_id")
+    assert run_dedup_watch.main(args) == 2
+    assert "was committed with" in capsys.readouterr().err
+    assert json.load(open(store / "_cli.json")) == rival
+    assert os.listdir(store) == ["_cli.json"]  # no tmp file left
+
+    os.remove(store / "_cli.json")
+    rival.update(text_col="text")
+    with pytest.raises(DaemonStarted):  # past the check, on to the loop
+        run_dedup_watch.main(args)
 
 
 @pytest.mark.slow

@@ -168,22 +168,16 @@ def test_directory_watcher_incremental_dedup(ray_session, tmp_path):
     out = tmp_path / "out"
     inc = IncrementalMinHashDedup(str(out / "dedup_index"), threshold=0.8)
 
-    state = {"files": None}
-
-    def loader(files):
-        state["files"] = list(files)
-        return ray.data.read_parquet(files)
-
-    def appender(ds):
+    def appender(ds, files):
         key = hashlib.sha256(
-            "\n".join(sorted(state["files"])).encode()
+            "\n".join(sorted(files)).encode()
         ).hexdigest()
         inc.tick(ds, batch_key=key)
         return {"batch": key}
 
     w = DirectoryWatcher(
         str(landing), None, str(out), file_extension="parquet",
-        loader=loader, appender=appender,
+        loader=ray.data.read_parquet, appender=appender,
     )
 
     def land(name, rows):

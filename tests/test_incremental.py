@@ -58,13 +58,22 @@ def test_append_equals_full_rerun(ray_session):
 
     # incremental: roll A, then append B
     shutil.rmtree(OUT, ignore_errors=True)
-    rollup_to_blocks(ray.data.from_arrow(a).repartition(4), cfg, ["mem://a"], OUT)
+    run1, _ = rollup_to_blocks(
+        ray.data.from_arrow(a).repartition(4), cfg, ["mem://a"], OUT
+    )
     run2, rows2 = append_rollup(
         ray.data.from_arrow(b).repartition(4), cfg, ["mem://b"], OUT
     )
     got_1m = read_blocks(OUT, "1m")
     got_1h = read_blocks(OUT, "1h")
     assert run2["counters"]["points_rolled"] == 27000
+    # one run-manifest fold, two shapes: the append run carries no
+    # fingerprint (committed_bucket_manifests keys on its absence)
+    fold_keys = {"config_hash", "buckets_committed", "n_blocks",
+                 "total_block_bytes", "counters", "watermark"}
+    assert set(run1) == fold_keys | {"fingerprint"}
+    assert set(run2) == fold_keys
+    assert run2["buckets_committed"] == list(range(8))
 
     # reference: roll A ∪ B from scratch
     full = "/tmp/beamium_ray_incr_full"

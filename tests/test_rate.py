@@ -482,23 +482,18 @@ def test_directory_watcher_incremental_rate(ray_session, tmp_path):
     inc = IncrementalRate(str(out / "rate_state"), {"1m": US_1M},
                           num_buckets=2)
 
-    state = {"files": None}
     outs = []
 
-    def loader(files):
-        state["files"] = list(files)
-        return ray.data.read_parquet(files)
-
-    def appender(ds):
+    def appender(ds, files):
         key = hashlib.sha256(
-            "\n".join(sorted(state["files"])).encode()
+            "\n".join(sorted(files)).encode()
         ).hexdigest()
         outs.append(inc.tick(ds, batch_key=key).to_pandas())
         return {"batch": key}
 
     w = DirectoryWatcher(
         str(landing), None, str(out), file_extension="parquet",
-        loader=loader, appender=appender,
+        loader=ray.data.read_parquet, appender=appender,
     )
 
     def land(name, rows):

@@ -408,15 +408,10 @@ def test_directory_watcher_incremental_span_dedup(ray_session, tmp_path):
     inc = IncrementalSpanDedup(
         str(out / "span_store"), window=8, id_col="doc_id"
     )
-    state = {"files": None}
 
-    def loader(files):
-        state["files"] = list(files)
-        return ray.data.read_parquet(files)
-
-    def appender(ds):
+    def appender(ds, files):
         key = hashlib.sha256(
-            "\n".join(sorted(state["files"])).encode()
+            "\n".join(sorted(files)).encode()
         ).hexdigest()
         cleaned = inc.tick(ds, batch_key=key)
         # deterministic per-batch output dir; Ray's write_parquet
@@ -433,7 +428,7 @@ def test_directory_watcher_incremental_span_dedup(ray_session, tmp_path):
 
     w = DirectoryWatcher(
         str(landing), None, str(out), file_extension="parquet",
-        loader=loader, appender=appender,
+        loader=ray.data.read_parquet, appender=appender,
     )
 
     rng = np.random.default_rng(31)

@@ -290,6 +290,34 @@ def test_watch_seen_prune_tombstones_restored_file(ray_session, tmp_path):
     assert fa in st["seen"] and fa not in st["tombstones"]
 
 
+def test_watch_tombstone_fingerprint_taken_at_intent(ray_session, tmp_path):
+    """seen_prune records each file's fingerprint at INTENT time: a
+    producer appending to a spool file while its batch is applied must
+    not leave a seen/tombstone fingerprint describing content that was
+    never ingested."""
+    from beamium_ray.state.manifest import file_fingerprint
+
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    cfg = EngineConfig(num_buckets=4, tiers={"1m": US_1M})
+    fa = _write_spool(spool, "a", "seq.alpha", 0, 3)
+    before = file_fingerprint(fa)
+
+    def loader(files):
+        ds = metrics_datapoints(files, cfg).materialize()
+        with open(fa, "a") as f:  # the producer appends mid-tick
+            f.write(f'seq.alpha{{env="prod"}} 9.5 {T0_MS + 9 * 60_000}\n')
+        return ds
+
+    w = DirectoryWatcher(str(spool), cfg, str(tmp_path / "out"),
+                         loader=loader, seen_prune=True)
+    res = w.tick()
+    assert res["run"]["counters"]["points_rolled"] == 3
+    after = file_fingerprint(fa)
+    assert after != before
+    assert w._load_state()["seen_fp"][fa] == before
+
+
 @pytest.mark.slow
 def test_watch_sigkill_chaos(tmp_path):
     """Randomized process-level crash battery for the watch daemon (the
@@ -389,6 +417,129 @@ def test_watch_sigkill_chaos(tmp_path):
     st = json.load(open(out_k / "_run" / "watch.json"))
     assert st["pending"] is None and len(st["seen"]) == 6
     assert blocks_key(out_k) == blocks_key(out_c)
+
+
+def test_watch_import_is_inert():
+    """Importing the watcher (perfbench does) registers no signal
+    handler and starts no thread or child process: the drain's handlers
+    exist only while run_ticks runs."""
+    import subprocess
+    import sys
+
+    code = (
+        "import os, signal, threading\n"
+        "before = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)]\n"
+        "import beamium_ray.pipelines.watch\n"
+        "after = [signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)]\n"
+        "kids = open(f'/proc/self/task/{os.getpid()}/children').read()\n"
+        "assert before == after, (before, after)\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "assert not kids.split(), kids\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = subprocess.run([sys.executable, "-c", code], cwd=repo,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr[-2000:]
+
+
+def _descendants(pid: int) -> set[int]:
+    """Every live process below ``pid`` (read from /proc)."""
+    children: dict[int, list[int]] = {}
+    for d in os.listdir("/proc"):
+        if d.isdigit():
+            try:
+                with open(f"/proc/{d}/stat") as f:
+                    ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, IndexError, ValueError):
+                continue
+            children.setdefault(ppid, []).append(int(d))
+    out: set[int] = set()
+    todo = [pid]
+    while todo:
+        for c in children.get(todo.pop(), []):
+            if c not in out:
+                out.add(c)
+                todo.append(c)
+    return out
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("when", ["sleep", "mid-tick"])
+def test_watch_sigterm_drain(ray_session, tmp_path, when):
+    """SIGTERM drains the daemon (ref src/main.rs:67-77). Sent during the
+    scan-period sleep or mid-tick, the current tick finishes, the sleep
+    wakes at once, and the process exits 0 with its summary line: the
+    batch is promoted (no pending), the store is fsck-clean, and no
+    process the daemon started is left."""
+    import signal
+    import subprocess
+    import sys
+    import time as _time
+
+    from beamium_ray.state.fsck import fsck
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    out = tmp_path / "out"
+    _write_spool(spool, "a", "seq.alpha", 0, 5)
+    _write_spool(spool, "b", "seq.beta", 2, 5)
+    env = dict(os.environ, RAY_DEDUP_LOGS="0")
+    if when == "mid-tick":
+        env["BEAMIUM_TEST_COMMIT_DELAY"] = "0.5"  # hold the tick open
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "beamium_ray.run_watch",
+         "--input", str(spool), "--output", str(out),
+         "--scan-period", "60", "--num-cpus", "2"],
+        env=env, cwd=repo, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        if when == "sleep":
+            # the first tick's line is printed just before the sleep
+            assert json.loads(proc.stdout.readline())["tick"] == 1
+        else:
+            state = out / "_run" / "watch.json"
+            deadline = _time.time() + 120
+            while _time.time() < deadline:
+                try:
+                    if json.load(open(state)).get("pending"):
+                        break
+                except (OSError, json.JSONDecodeError):
+                    pass
+                _time.sleep(0.02)
+            else:
+                pytest.fail("the tick never wrote its pending intent")
+        started = _descendants(proc.pid)
+        assert started, "no Ray processes under the daemon"
+        t0 = _time.time()
+        proc.send_signal(signal.SIGTERM)
+        rest, _ = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    # well inside the 60 s scan period: the sleep woke on the signal
+    assert _time.time() - t0 < 45
+    assert proc.returncode == 0
+    lines = [json.loads(ln) for ln in rest.strip().splitlines()]
+    assert lines[-1]["ticks"] == 1
+    assert lines[-1]["run"]["counters"]["points_rolled"] == 10
+    st = json.load(open(out / "_run" / "watch.json"))
+    assert st["pending"] is None and len(st["seen"]) == 2
+    assert fsck(str(out))["ok"]
+    deadline = _time.time() + 30
+    while _time.time() < deadline and any(_alive(p) for p in started):
+        _time.sleep(0.2)
+    assert not [p for p in started if _alive(p)], "processes left running"
 
 
 def test_watch_hot_config_reload(ray_session, tmp_path):
