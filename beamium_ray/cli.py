@@ -3,22 +3,25 @@ for the watch CLIs — their loop flags, the /metrics endpoint (the
 reference daemon's self-metrics server, ``src/cmd.rs:78-106``) and the
 tick loop with its SIGTERM drain (``src/main.rs:67-77``).
 
-Every entry point owns its Ray session through :func:`start_ray` — a
+Every entry point gets its Ray session through :func:`ray_session` — a
 guarded init, safe under ``ray job submit`` where the cluster is
-already up.
+already up, that shuts down only a session it started.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 
-def start_ray(num_cpus: int | None = None) -> None:
+def start_ray(num_cpus: int | None = None) -> bool:
     """Start a local Ray session unless one is already up, with
-    Ray Data's progress bars off (stdout carries each CLI's JSON)."""
+    Ray Data's progress bars off (stdout carries each CLI's JSON).
+    Returns whether this call started the session."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         ray.init(
             address="local",
             num_cpus=num_cpus,
@@ -29,6 +32,22 @@ def start_ray(num_cpus: int | None = None) -> None:
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
+    return started
+
+
+@contextlib.contextmanager
+def ray_session(num_cpus: int | None = None):
+    """:func:`start_ray` for the ``with`` block; on every exit path,
+    shut Ray down only if the block started it, so a CLI's ``main()``
+    called in-process leaves its caller's session up."""
+    import ray
+
+    started = start_ray(num_cpus)
+    try:
+        yield
+    finally:
+        if started:
+            ray.shutdown()
 
 
 def serve_metrics(addr: str | None, provider, input_dir: str, ext: str):
@@ -79,13 +98,10 @@ def run_daemon(args, tick, on_tick, provider, summary, ext: str) -> int:
     (:func:`~beamium_ray.pipelines.watch.run_ticks`) until
     ``--max-ticks``, ``--idle-exit`` or SIGTERM/SIGINT, close /metrics,
     print ``summary(loop result)`` as the last JSON line and return 0.
-    Ray is shut down on every exit path."""
-    import ray
-
+    Ray, when this call started it, is shut down on every exit path."""
     from beamium_ray.pipelines.watch import run_ticks
 
-    start_ray(args.num_cpus)
-    try:
+    with ray_session(args.num_cpus):
         server = serve_metrics(args.metrics_addr, provider, args.input, ext)
         try:
             res = run_ticks(
@@ -100,5 +116,3 @@ def run_daemon(args, tick, on_tick, provider, summary, ext: str) -> int:
                 server.close()
         print(json.dumps(summary(res)))
         return 0
-    finally:
-        ray.shutdown()

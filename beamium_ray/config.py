@@ -89,7 +89,6 @@ class EngineConfig:
 
     # io
     output_dir: str = "/tmp/beamium_ray_out"
-    target_rows_per_block: int = 500_000
     # block codecs: "bytes" (byte-granular suppression, default) or
     # "bits" (paper-granularity bit packing; ~10-30% smaller float
     # streams, up to 4× smaller DoD timestamp streams on regular
@@ -389,10 +388,6 @@ def validate_engine_config(cfg: EngineConfig) -> list[str]:
         errors.append(f"shuffle_blocks must be positive, got {cfg.shuffle_blocks}")
     if cfg.gapfill_max_gap is not None and cfg.gapfill_max_gap < 0:
         errors.append(f"gapfill_max_gap must be ≥ 0, got {cfg.gapfill_max_gap}")
-    if cfg.target_rows_per_block <= 0:
-        errors.append(
-            f"target_rows_per_block must be positive, got {cfg.target_rows_per_block}"
-        )
     for knob in ("float_codec", "int_codec"):
         v = getattr(cfg, knob)
         if v not in ("bytes", "bits"):

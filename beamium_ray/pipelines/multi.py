@@ -2,10 +2,10 @@
 wiring, ``src/main.rs``: N named scrapers feed one router which
 multicasts to M named sinks).
 
-Ray-Data re-expression: each scraper is its own small pipeline
-(format dispatch P3 → parse P1/P2 → scraper-scoped relabel P6/P7 →
-whitelist P5), the branches union into one datapoint stream, and
-``write_routed`` applies the router's GLOBAL relabel (P9,
+Ray-Data re-expression: each scraper is one map of the scraper stage
+(format dispatch P3 → parse P1/P2 → whitelist P5 → scraper-scoped
+relabel P6/P7 → selector P10), the branches union into one datapoint
+stream, and ``write_routed`` applies the router's GLOBAL relabel (P9,
 unconditional) and the per-sink anchored selectors (P10, multicast),
 writing one partitioned parquet directory per sink (S5).
 
@@ -23,50 +23,20 @@ import pyarrow as pa
 
 from beamium_ray.config import BeamiumConfig, EngineConfig
 from beamium_ray.pipelines.route import write_routed
-from beamium_ray.sources.lines import parse_lines_dataset
 from beamium_ray.stages.derive import DEFAULT_NOW_US
-from beamium_ray.stages.filters import whitelist_batch
-from beamium_ray.stages.parse import parse_warp10_batch
-from beamium_ray.stages.relabel import relabel_batch
+from beamium_ray.stages.process import process_batch
 
 
 def scraper_pipeline(lines_ds, scfg: EngineConfig, now_us: int = DEFAULT_NOW_US):
-    """One scraper's line Dataset → parsed+relabelled datapoint Dataset.
-
-    Order mirrors the reference scrape loop (``src/scraper.rs:195-216``):
-    transcompile/trim per format, whitelist, then the scraper's own
-    add/remove labels. Sensision input is additionally decoded to
-    columns (engine extension; '='-continuations inherit before the
-    relabel, so continuation rows stay label-identical to their parent).
-    """
-    if scfg.format == "prometheus":
-        parsed = parse_lines_dataset(lines_ds, "prometheus", now_us)
-    elif scfg.format == "sensision":
-        trimmed = parse_lines_dataset(lines_ds, "sensision")
-
-        def decode(b: pa.Table) -> pa.Table:
-            groups = (
-                b["file_id"].to_numpy()
-                if "file_id" in b.column_names
-                else None
-            )
-            return parse_warp10_batch(b["line"], groups=groups)
-
-        parsed = trimmed.map_batches(
-            decode, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        raise ValueError(f"unknown scraper format {scfg.format!r}")
-
-    def relab(b: pa.Table) -> pa.Table:
-        t = b
-        if scfg.metrics_whitelist:
-            t = whitelist_batch(t, scfg.metrics_whitelist)
-        if scfg.labels or scfg.filtered_labels:
-            t = relabel_batch(t, add=scfg.labels, drop=scfg.filtered_labels)
-        return t
-
-    return parsed.map_batches(relab, batch_format="pyarrow", batch_size=None)
+    """One scraper's line Dataset → datapoint Dataset: one map of the
+    scraper stage (:func:`~beamium_ray.stages.process.process_batch`)
+    over whole blocks."""
+    return lines_ds.map_batches(
+        process_batch,
+        fn_kwargs={"cfg": scfg, "now_us": now_us},
+        batch_format="pyarrow",
+        batch_size=None,
+    )
 
 
 def run_beamium_config(

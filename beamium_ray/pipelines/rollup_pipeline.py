@@ -26,9 +26,8 @@ from beamium_ray.stages.derive import (
     derive_columns_batch,
     derive_lines_batch,
 )
-from beamium_ray.stages.filters import whitelist_batch, route_batch
 from beamium_ray.stages.parse import parse_table
-from beamium_ray.stages.relabel import relabel_batch
+from beamium_ray.stages.process import scrape_tail, with_series_key
 from beamium_ray.stages.rollup import rollup_dataset
 
 PAYLOAD_COLS = ["order", "doc_id", "tokens", "n_tok", "source"]
@@ -95,6 +94,8 @@ class DeriveParseRelabel:
     path — exercises the full parser on bulk data).
     mode="columns": direct columnar derivation (scale path; identical
     output, asserted in tests).
+    Both modes then run the scraper stage's P5→P10 tail
+    (:func:`~beamium_ray.stages.process.scrape_tail`).
     """
 
     def __init__(
@@ -126,42 +127,16 @@ class DeriveParseRelabel:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
         if self.mode == "lines":
             lined = derive_lines_batch(batch, self.now)
             passthrough = [c for c in PAYLOAD_COLS if c in lined.column_names]
             counters: dict = {}
             t = parse_table(lined, self.now, "line", passthrough, counters)
-            self._flush(counters, batch.num_rows, t.num_rows)
         else:
             t = derive_columns_batch(batch, self.now)
-            t = t.drop_columns(["series_key"])
-            self._flush(
-                {"inf_nan": batch.num_rows - t.num_rows},
-                batch.num_rows,
-                t.num_rows,
-            )
-        if cfg.labels or cfg.filtered_labels:
-            t = relabel_batch(t, add=cfg.labels, drop=cfg.filtered_labels)
-        if cfg.metrics_whitelist:
-            if "line" not in t.column_names:
-                from beamium_ray.stages.parse import _compose_line
-
-                vs = (
-                    t["value_str"]
-                    if "value_str" in t.column_names
-                    else pc.cast(t["value"], pa.string())
-                )
-                t = t.append_column(
-                    "line", _compose_line(t["ts"], t["class"], t["labels"], vs)
-                )
-            t = whitelist_batch(t, cfg.metrics_whitelist)
-        if cfg.selector is not None:
-            t = route_batch(t, cfg.selector)
-        series_key = pc.binary_join_element_wise(
-            t["class"], "{", t["labels"], "}", ""
-        )
-        return t.append_column("series_key", series_key)
+            counters = {"inf_nan": batch.num_rows - t.num_rows}
+        self._flush(counters, batch.num_rows, t.num_rows)
+        return with_series_key(scrape_tail(t, self.cfg))
 
 
 def datapoints(

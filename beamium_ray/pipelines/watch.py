@@ -36,34 +36,21 @@ import os
 import queue
 import signal
 
-import pyarrow as pa
-import pyarrow.compute as pc
-
 from beamium_ray.config import EngineConfig
 from beamium_ray.stages.derive import DEFAULT_NOW_US
 
 
 def metrics_datapoints(files: list[str], cfg: EngineConfig,
                        now_us: int = DEFAULT_NOW_US):
-    """``.metrics`` line files → datapoint Dataset with ``series_key``.
-
-    Same per-scraper shape as :func:`multi.scraper_pipeline` (format
-    dispatch → parse → whitelist/relabel), reading WHOLE files so
-    '='-continuation inheritance never crosses a file boundary.
-    """
+    """``.metrics`` line files → datapoint Dataset with ``series_key``:
+    :func:`multi.scraper_pipeline` over WHOLE files, so '='-continuation
+    inheritance never crosses a file boundary."""
     from beamium_ray.pipelines.multi import scraper_pipeline
     from beamium_ray.sources.lines import read_metric_lines_whole_files
+    from beamium_ray.stages.process import with_series_key
 
-    lines = read_metric_lines_whole_files(files)
-    dp = scraper_pipeline(lines, cfg, now_us)
-
-    def key(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "series_key",
-            pc.binary_join_element_wise(b["class"], "{", b["labels"], "}", ""),
-        )
-
-    return dp.map_batches(key, batch_format="pyarrow", batch_size=None)
+    dp = scraper_pipeline(read_metric_lines_whole_files(files), cfg, now_us)
+    return dp.map_batches(with_series_key, batch_format="pyarrow", batch_size=None)
 
 
 def spool_files(input_dir: str, ext: str) -> list[str]:

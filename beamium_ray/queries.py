@@ -2512,6 +2512,9 @@ def lines_roundtrip_events(sf_dir: str):
     """Text-file ingest round-trips for BOTH wire formats in one gate
     entry (fmt='prometheus' / fmt='sensision'):
 
+    Both arms parse through the engine's scraper stage
+    (``multi.scraper_pipeline``), the path every ingest entry point uses.
+
     - prometheus (S2/S3): compose Prometheus lines, write real
       *.metrics text files, re-ingest with the directory source, parse.
       Oracle = the direct SQL projection (ms-truncated ts; ids do not
@@ -2520,18 +2523,17 @@ def lines_roundtrip_events(sf_dir: str):
       every 50th event also emits a '='-CONTINUATION line (=ts+1//
       value) directly after its parent, exercising the class/labels
       inheritance path — re-ingest as whole-file blocks (a file must
-      never START with a continuation) with format="sensision" (trim
-      passthrough), parse the Warp10 shape back to columns."""
+      never START with a continuation) with format="sensision", parse
+      the Warp10 shape back to columns."""
     import hashlib
     import os
     import shutil
 
+    from beamium_ray.pipelines.multi import scraper_pipeline
     from beamium_ray.sources.lines import (
-        parse_lines_dataset,
         read_metric_lines,
         read_metric_lines_whole_files,
     )
-    from beamium_ray.stages.parse import parse_warp10_batch
 
     tag = hashlib.sha256(sf_dir.encode()).hexdigest()[:8]
     ds = _read(
@@ -2557,15 +2559,10 @@ def lines_roundtrip_events(sf_dir: str):
 
     # --- prometheus arm ---
     prom_dir = write_dir("lines", _events_lines)
-    prom = parse_lines_dataset(
-        read_metric_lines(prom_dir), "prometheus", now_us=0
-    ).map_batches(
-        lambda t: pa.table(
-            {"ts": t["ts"], "class": t["class"], "labels": t["labels"],
-             "value": t["value"]}
-        ),
-        batch_format="pyarrow", batch_size=None,
-    )
+    cols = ["ts", "class", "labels", "value"]
+    prom = scraper_pipeline(
+        read_metric_lines(prom_dir), EngineConfig(), now_us=0
+    ).select_columns(cols)
 
     # --- sensision arm ---
     def compose_warp10(b: pa.Table) -> pa.Table:
@@ -2600,21 +2597,10 @@ def lines_roundtrip_events(sf_dir: str):
 
     sens_dir = write_dir("sensision", compose_warp10)
     # whole-file blocks: '='-continuations stay adjacent to their parent
-    trimmed = parse_lines_dataset(
-        read_metric_lines_whole_files(sens_dir), "sensision"
-    )
-
-    def decode(b: pa.Table) -> pa.Table:
-        groups = (
-            b["file_id"].to_numpy() if "file_id" in b.column_names else None
-        )
-        t = parse_warp10_batch(b["line"], groups=groups)
-        return pa.table(
-            {"ts": t["ts"], "class": t["class"], "labels": t["labels"],
-             "value": t["value"]}
-        )
-
-    sens = trimmed.map_batches(decode, batch_format="pyarrow", batch_size=None)
+    sens = scraper_pipeline(
+        read_metric_lines_whole_files(sens_dir),
+        EngineConfig(format="sensision"),
+    ).select_columns(cols)
     return _union(
         [_tag(prom, "fmt", "prometheus"), _tag(sens, "fmt", "sensision")]
     )

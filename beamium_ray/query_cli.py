@@ -26,35 +26,31 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--format", default="table", choices=["table", "csv", "json"])
     args = ap.parse_args(argv)
 
-    import ray
+    from beamium_ray.cli import ray_session
 
-    from beamium_ray.cli import start_ray
+    with ray_session():
+        import pyarrow.compute as pc
 
-    start_ray()
+        from beamium_ray.pipelines.persist import read_blocks_dataset
 
-    import pyarrow.compute as pc
+        ds = read_blocks_dataset(
+            args.output, args.tier, args.min_window, args.max_window
+        )
+        if args.series:
+            pat = args.series
 
-    from beamium_ray.pipelines.persist import read_blocks_dataset
+            def filt(t):
+                return t.filter(pc.match_substring_regex(t["series_key"], pat))
 
-    ds = read_blocks_dataset(
-        args.output, args.tier, args.min_window, args.max_window
-    )
-    if args.series:
-        pat = args.series
-
-        def filt(t):
-            return t.filter(pc.match_substring_regex(t["series_key"], pat))
-
-        ds = ds.map_batches(filt, batch_format="pyarrow", batch_size=None)
-    out = ds.limit(args.limit).to_pandas()
-    if args.format == "table":
-        print(out.to_string(index=False))
-    elif args.format == "csv":
-        out.to_csv(sys.stdout, index=False)
-    else:
-        print(out.to_json(orient="records"))
-    ray.shutdown()
-    return 0
+            ds = ds.map_batches(filt, batch_format="pyarrow", batch_size=None)
+        out = ds.limit(args.limit).to_pandas()
+        if args.format == "table":
+            print(out.to_string(index=False))
+        elif args.format == "csv":
+            out.to_csv(sys.stdout, index=False)
+        else:
+            print(out.to_json(orient="records"))
+        return 0
 
 
 if __name__ == "__main__":

@@ -73,71 +73,69 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    from beamium_ray.cli import start_ray
+    from beamium_ray.cli import ray_session
 
-    start_ray(args.num_cpus)
+    with ray_session(args.num_cpus):
+        from beamium_ray.config import EngineConfig
+        from beamium_ray.pipelines.persist import rollup_to_blocks
+        from beamium_ray.pipelines.rollup_pipeline import datapoints
+        from beamium_ray.state.retention import apply_retention
 
-    from beamium_ray.config import EngineConfig
-    from beamium_ray.pipelines.persist import rollup_to_blocks
-    from beamium_ray.pipelines.rollup_pipeline import datapoints
-    from beamium_ray.state.retention import apply_retention
+        cfg = (
+            EngineConfig.from_file(args.config) if args.config else EngineConfig()
+        )
+        cfg.output_dir = args.output
 
-    cfg = (
-        EngineConfig.from_file(args.config) if args.config else EngineConfig()
-    )
-    cfg.output_dir = args.output
+        metrics_name = f"beamium-metrics-{os.getpid()}"
+        metrics_handle = None
+        if not args.no_metrics:
+            from beamium_ray.state.metrics import get_or_create
 
-    metrics_name = f"beamium-metrics-{os.getpid()}"
-    metrics_handle = None
-    if not args.no_metrics:
-        from beamium_ray.state.metrics import get_or_create
+            # driver-owned; the HANDLE must stay referenced or the named
+            # actor is refcounted away before workers flush to it
+            metrics_handle = get_or_create(metrics_name)
+        seq = ray.data.read_parquet(args.input, columns=["doc_id", "n_tok", "source"])
+        dp = datapoints(
+            seq, cfg, mode=args.mode,
+            metrics_actor=None if args.no_metrics else metrics_name,
+        )
+        import glob
 
-        # driver-owned; the HANDLE must stay referenced or the named
-        # actor is refcounted away before workers flush to it
-        metrics_handle = get_or_create(metrics_name)
-    seq = ray.data.read_parquet(args.input, columns=["doc_id", "n_tok", "source"])
-    dp = datapoints(
-        seq, cfg, mode=args.mode,
-        metrics_actor=None if args.no_metrics else metrics_name,
-    )
-    import glob
-
-    if os.path.isdir(args.input):
-        paths = sorted(
-            glob.glob(
-                os.path.join(args.input, "**", "*.parquet"), recursive=True
+        if os.path.isdir(args.input):
+            paths = sorted(
+                glob.glob(
+                    os.path.join(args.input, "**", "*.parquet"), recursive=True
+                )
             )
-        )
-    elif any(ch in args.input for ch in "*?["):
-        # expand glob inputs to the CONCRETE file list: fingerprinting
-        # the literal glob string would reuse a stale fingerprint when
-        # the glob matches a different file set (ADVICE r1)
-        paths = sorted(glob.glob(args.input, recursive=True))
-    else:
-        paths = [args.input]
-    # recursive: read_parquet descends, so the fingerprint must too
-    if args.append:
-        from beamium_ray.pipelines.persist import append_rollup
+        elif any(ch in args.input for ch in "*?["):
+            # expand glob inputs to the CONCRETE file list: fingerprinting
+            # the literal glob string would reuse a stale fingerprint when
+            # the glob matches a different file set (ADVICE r1)
+            paths = sorted(glob.glob(args.input, recursive=True))
+        else:
+            paths = [args.input]
+        # recursive: read_parquet descends, so the fingerprint must too
+        if args.append:
+            from beamium_ray.pipelines.persist import append_rollup
 
-        run, _rows = append_rollup(dp, cfg, paths, args.output)
-    else:
-        run, _rows = rollup_to_blocks(dp, cfg, paths, args.output)
-    if not args.no_metrics:
-        # counters were flushed in-pipeline by the parse stage actors
-        from beamium_ray.state.metrics import read_and_drop
+            run, _rows = append_rollup(dp, cfg, paths, args.output)
+        else:
+            run, _rows = rollup_to_blocks(dp, cfg, paths, args.output)
+        if not args.no_metrics:
+            # counters were flushed in-pipeline by the parse stage actors
+            from beamium_ray.state.metrics import read_and_drop
 
-        run["stage_metrics"] = read_and_drop(metrics_name)
-        del metrics_handle
-    if cfg.ttl_us or cfg.max_bytes:
-        # TTL horizon is data-time based: "now" = the run watermark
-        # (deterministic), so expiry doesn't depend on wall clock
-        run["retention"] = apply_retention(
-            args.output, cfg.ttl_us or None, cfg.max_bytes,
-            now_us=run.get("watermark"),
-        )
-    print(json.dumps(run))
-    ray.shutdown()
-    return 0
+            run["stage_metrics"] = read_and_drop(metrics_name)
+            del metrics_handle
+        if cfg.ttl_us or cfg.max_bytes:
+            # TTL horizon is data-time based: "now" = the run watermark
+            # (deterministic), so expiry doesn't depend on wall clock
+            run["retention"] = apply_retention(
+                args.output, cfg.ttl_us or None, cfg.max_bytes,
+                now_us=run.get("watermark"),
+            )
+        print(json.dumps(run))
+        return 0
 
 
 if __name__ == "__main__":

@@ -52,25 +52,21 @@ def main(argv: list[str] | None = None) -> int:
                           [next(iter(s)) for s in cfg.stages]}))
         return 0
 
-    import ray
+    from beamium_ray.cli import ray_session
 
-    from beamium_ray.cli import start_ray
+    with ray_session(args.num_cpus):
+        from beamium_ray.pipelines.clean import run_clean, run_clean_sharded
 
-    start_ray(args.num_cpus)
-
-    from beamium_ray.pipelines.clean import run_clean, run_clean_sharded
-
-    if args.shards is not None:
-        res = run_clean_sharded(
-            cfg,
-            files_per_shard=args.shards,
-            allow_within_shard=args.allow_within_shard,
-        )
-    else:
-        res = run_clean(cfg)
-    print(json.dumps(res))
-    ray.shutdown()
-    return 0
+        if args.shards is not None:
+            res = run_clean_sharded(
+                cfg,
+                files_per_shard=args.shards,
+                allow_within_shard=args.allow_within_shard,
+            )
+        else:
+            res = run_clean(cfg)
+        print(json.dumps(res))
+        return 0
 
 
 if __name__ == "__main__":

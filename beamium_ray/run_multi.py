@@ -82,91 +82,87 @@ def main(argv: list[str] | None = None) -> int:
     if not args.output:
         ap.error("--output is required (unless --check)")
 
-    import ray
+    from beamium_ray.cli import ray_session
 
-    from beamium_ray.cli import start_ray
+    with ray_session(args.num_cpus):
+        import pyarrow.parquet as pq
 
-    start_ray(args.num_cpus)
+        from beamium_ray.config import BeamiumConfig
+        from beamium_ray.pipelines.multi import run_beamium_config
+        from beamium_ray.sources.lines import read_metric_lines_whole_files
 
-    import pyarrow.parquet as pq
+        # ONE parse of the config file: the typed BeamiumConfig plus the
+        # raw dict for the per-scraper `input` keys (not an EngineConfig
+        # field). load_raw_config rejects INI (its flat sections cannot
+        # express the scrapers/sinks maps) with a clear error.
+        from beamium_ray.config import load_raw_config
 
-    from beamium_ray.config import BeamiumConfig
-    from beamium_ray.pipelines.multi import run_beamium_config
-    from beamium_ray.sources.lines import read_metric_lines_whole_files
+        raw = load_raw_config(args.config)
+        cfg = BeamiumConfig.from_dict(raw)
 
-    # ONE parse of the config file: the typed BeamiumConfig plus the
-    # raw dict for the per-scraper `input` keys (not an EngineConfig
-    # field). load_raw_config rejects INI (its flat sections cannot
-    # express the scrapers/sinks maps) with a clear error.
-    from beamium_ray.config import load_raw_config
+        # parameters.log-file / log-level / syslog (conf.rs:78-82, log.rs).
+        # An unconfigured log-file defaults under the OUTPUT root (a batch
+        # job's logs belong next to its artifacts, not in whatever cwd the
+        # scheduler launched from — the one divergence from the reference's
+        # ./beamium.log default).
+        from beamium_ray.state.logsetup import initialize_logging
 
-    raw = load_raw_config(args.config)
-    cfg = BeamiumConfig.from_dict(raw)
+        log_params = dict(cfg.parameters or {})
+        if "log-file" not in log_params and "log_file" not in log_params:
+            log_params["log-file"] = f"{args.output}/_run/beamium.log"
+        log_guard = initialize_logging(log_params, verbose=args.verbose)
 
-    # parameters.log-file / log-level / syslog (conf.rs:78-82, log.rs).
-    # An unconfigured log-file defaults under the OUTPUT root (a batch
-    # job's logs belong next to its artifacts, not in whatever cwd the
-    # scheduler launched from — the one divergence from the reference's
-    # ./beamium.log default).
-    from beamium_ray.state.logsetup import initialize_logging
+        raw_inputs: dict[str, str] = {}
+        for name, sub in (raw.get("scrapers") or {}).items():
+            if isinstance(sub, dict) and sub.get("input"):
+                raw_inputs[name] = str(sub["input"])
+        # scrapers with a `url` and no `input` are fetched live (reference
+        # S1): one scrape tick lands spool files under the output root, and
+        # the lines source ingests them like any pre-existing spool
+        for name, scfg in cfg.scrapers.items():
+            if name not in raw_inputs and scfg.url:
+                from beamium_ray.sources.scrape import scrape_scraper
 
-    log_params = dict(cfg.parameters or {})
-    if "log-file" not in log_params and "log_file" not in log_params:
-        log_params["log-file"] = f"{args.output}/_run/beamium.log"
-    log_guard = initialize_logging(log_params, verbose=args.verbose)
-
-    raw_inputs: dict[str, str] = {}
-    for name, sub in (raw.get("scrapers") or {}).items():
-        if isinstance(sub, dict) and sub.get("input"):
-            raw_inputs[name] = str(sub["input"])
-    # scrapers with a `url` and no `input` are fetched live (reference
-    # S1): one scrape tick lands spool files under the output root, and
-    # the lines source ingests them like any pre-existing spool
-    for name, scfg in cfg.scrapers.items():
-        if name not in raw_inputs and scfg.url:
-            from beamium_ray.sources.scrape import scrape_scraper
-
-            spool = f"{args.output}/_scrape/{name}"
-            scrape_scraper(scfg, spool, parameters=cfg.parameters)
-            raw_inputs[name] = spool
-    missing = set(cfg.scrapers) - set(raw_inputs)
-    if missing:
-        raise SystemExit(
-            f"scrapers without an 'input' dir or 'url': {sorted(missing)}"
-        )
-
-    inputs = {
-        name: read_metric_lines_whole_files(path)
-        for name, path in raw_inputs.items()
-    }
-    paths = run_beamium_config(cfg, inputs, args.output)
-    summary = {}
-    for sink, path in paths.items():
-        try:
-            n = pq.read_table(path, columns=["ts"]).num_rows
-        except FileNotFoundError:
-            n = 0  # selector matched nothing → no directory written
-        except Exception as ex:  # corrupt/unreadable output is an ERROR
-            summary[sink] = {"path": path, "rows": None,
-                             "error": f"{type(ex).__name__}: {ex}"}
-            continue
-        summary[sink] = {"path": path, "rows": n}
-        sk = cfg.sinks.get(sink)
-        if args.forward and sk is not None and sk.url and n:
-            from beamium_ray.sinks import (
-                forward_parquet_sink,
-                http_conf_from_config,
+                spool = f"{args.output}/_scrape/{name}"
+                scrape_scraper(scfg, spool, parameters=cfg.parameters)
+                raw_inputs[name] = spool
+        missing = set(cfg.scrapers) - set(raw_inputs)
+        if missing:
+            raise SystemExit(
+                f"scrapers without an 'input' dir or 'url': {sorted(missing)}"
             )
 
-            # full parameter surface: timeout, batch caps, backoff.*,
-            # keep-alive knobs and custom headers all flow from config
-            summary[sink]["forwarded"] = forward_parquet_sink(
-                path, http_conf_from_config(sk, cfg.parameters)
-            )
-    print(json.dumps({"sinks": summary}))
-    log_guard.close()
-    ray.shutdown()
-    return 0
+        inputs = {
+            name: read_metric_lines_whole_files(path)
+            for name, path in raw_inputs.items()
+        }
+        paths = run_beamium_config(cfg, inputs, args.output)
+        summary = {}
+        for sink, path in paths.items():
+            try:
+                n = pq.read_table(path, columns=["ts"]).num_rows
+            except FileNotFoundError:
+                n = 0  # selector matched nothing → no directory written
+            except Exception as ex:  # corrupt/unreadable output is an ERROR
+                summary[sink] = {"path": path, "rows": None,
+                                 "error": f"{type(ex).__name__}: {ex}"}
+                continue
+            summary[sink] = {"path": path, "rows": n}
+            sk = cfg.sinks.get(sink)
+            if args.forward and sk is not None and sk.url and n:
+                from beamium_ray.sinks import (
+                    forward_parquet_sink,
+                    http_conf_from_config,
+                )
+
+                # full parameter surface: timeout, batch caps, backoff.*,
+                # keep-alive knobs and custom headers all flow from config
+                summary[sink]["forwarded"] = forward_parquet_sink(
+                    path, http_conf_from_config(sk, cfg.parameters)
+                )
+        print(json.dumps({"sinks": summary}))
+        log_guard.close()
+        return 0
 
 
 if __name__ == "__main__":

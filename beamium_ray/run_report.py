@@ -25,29 +25,27 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    from beamium_ray.cli import start_ray
+    from beamium_ray.cli import ray_session
 
-    start_ray(args.num_cpus)
+    with ray_session(args.num_cpus):
+        from beamium_ray.datapipe.textstats import dataset_report
 
-    from beamium_ray.datapipe.textstats import dataset_report
-
-    ds = ray.data.read_parquet(args.input)
-    rows = sorted(
-        dataset_report(
-            ds, strat_col=args.strat_col,
-            text_col=args.text_col, id_col=args.id_col,
-        ).take_all(),
-        key=lambda r: str(r[args.strat_col]),
-    )
-    total = {
-        "n_docs": sum(r["n_docs"] for r in rows),
-        "n_tok_ws": sum(r["n_tok_ws"] for r in rows),
-        "n_chars": sum(r["n_chars"] for r in rows),
-        "n_keep": sum(r["n_keep"] for r in rows),
-    }
-    print(json.dumps({"input": args.input, "strata": rows, "total": total}))
-    ray.shutdown()
-    return 0
+        ds = ray.data.read_parquet(args.input)
+        rows = sorted(
+            dataset_report(
+                ds, strat_col=args.strat_col,
+                text_col=args.text_col, id_col=args.id_col,
+            ).take_all(),
+            key=lambda r: str(r[args.strat_col]),
+        )
+        total = {
+            "n_docs": sum(r["n_docs"] for r in rows),
+            "n_tok_ws": sum(r["n_tok_ws"] for r in rows),
+            "n_chars": sum(r["n_chars"] for r in rows),
+            "n_keep": sum(r["n_keep"] for r in rows),
+        }
+        print(json.dumps({"input": args.input, "strata": rows, "total": total}))
+        return 0
 
 
 if __name__ == "__main__":

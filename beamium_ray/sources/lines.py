@@ -2,10 +2,10 @@
 
 Beamium scrapes Prometheus text or reads Sensision ``.metrics``
 files-of-lines (SURVEY.md §2.1 S2/S3). Here that becomes
-``ray.data.read_text`` over a directory of line files feeding the same
-vectorized parse stage — one bounded batch job replaces the periodic
-scanner; the resume manifest replaces "only new files" incremental
-logic (SURVEY.md S2 mapping).
+``ray.data.read_text`` over a directory of line files feeding the
+scraper stage (``stages/process.py``) — one bounded batch job replaces
+the periodic scanner; the resume manifest replaces "only new files"
+incremental logic (SURVEY.md S2 mapping).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-
-from beamium_ray.stages.parse import format_warp10_batch, parse_table
 
 # Input bytes per read task of a listed spool batch. Parsing holds tens
 # of times its input in memory (a 1.8 MB Sensision file peaks at about
@@ -98,29 +96,3 @@ def read_metric_lines_whole_files(
         )
 
     return ds.map_batches(split, batch_format="pyarrow", batch_size=None)
-
-
-def parse_lines_dataset(
-    ds,
-    fmt: str = "prometheus",
-    now_us: int = 0,
-    passthrough: list[str] | None = None,
-):
-    """Format dispatch (P3, ref ``transcompiler.rs:15-30``): Prometheus
-    lines are transcompiled; Sensision lines pass through trimmed."""
-    if fmt == "prometheus":
-        return ds.map_batches(
-            lambda b: parse_table(b, now_us, "line", passthrough),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-    if fmt == "sensision":
-
-        def _trim(b: pa.Table) -> pa.Table:
-            out = b.set_column(
-                b.column_names.index("line"), "line", format_warp10_batch(b["line"])
-            )
-            return out
-
-        return ds.map_batches(_trim, batch_format="pyarrow", batch_size=None)
-    raise ValueError(f"unknown format {fmt!r} (prometheus|sensision)")

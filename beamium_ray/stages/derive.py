@@ -111,15 +111,11 @@ def derive_columns_batch(batch: pa.Table, now_us: int = DEFAULT_NOW_US) -> pa.Ta
     NaN/Inf synthetic value are dropped here (exactly the parse drop rule)."""
     f = derive_fields(batch, now_us)
     keep = ~f["bad"]
-    series_key = pc.binary_join_element_wise(
-        f["class"], "{", f["labels"], "}", ""
-    )
     cols = {
         "ts": pa.array(f["ts"], pa.int64()),
         "class": f["class"],
         "labels": f["labels"],
         "value": pa.array(f["value"], pa.float64()),
-        "series_key": series_key,
         "order": pa.array(f["i"].astype(np.int64), pa.int64()),
     }
     for name in ("doc_id", "tokens", "n_tok", "source"):

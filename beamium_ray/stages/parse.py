@@ -49,11 +49,6 @@ PARSED_SCHEMA = pa.schema(
 )
 
 
-def format_warp10_batch(lines: pa.Array) -> pa.Array:
-    """Sensision passthrough: trim (ref ``transcompiler.rs:33-35``)."""
-    return pc.utf8_trim_whitespace(lines)
-
-
 def _compose_line(ts: pa.Array, klass: pa.Array, labels: pa.Array, value: pa.Array) -> pa.Array:
     """Rebuild the formatted Warp10 line ``ts// class{labels} value``."""
     ts_str = pc.cast(ts, pa.string())
@@ -527,28 +522,3 @@ def parse_warp10_batch(
         np.concatenate([surv_full_orig, cont_orig]), kind="stable"
     )
     return merged.take(pa.array(order))
-
-
-class ParsePrometheus:
-    """Actor-pool/stateless stage wrapper: batch Table -> parsed Table.
-
-    Use as ``ds.map_batches(ParsePrometheus(now_us=...), batch_format="pyarrow")``
-    over a dataset with a ``line`` (or given) column of raw text lines.
-    ``passthrough`` columns survive with the kept rows (token payload).
-    """
-
-    def __init__(
-        self,
-        now_us: int,
-        column: str = "line",
-        passthrough: list[str] | None = None,
-    ):
-        self.now = int(now_us)
-        self.column = column
-        self.passthrough = passthrough or []
-        self.counters: dict = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return parse_table(
-            batch, self.now, self.column, self.passthrough, self.counters
-        )

@@ -282,12 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--num-cpus", type=int, default=None)
     args = ap.parse_args(argv)
 
-    from beamium_ray.cli import start_ray
+    from beamium_ray.cli import ray_session
 
-    start_ray(args.num_cpus)
-    res = fsck(
-        args.out_dir, deep=not args.shallow, num_buckets=args.num_buckets
-    )
+    with ray_session(args.num_cpus):
+        res = fsck(
+            args.out_dir, deep=not args.shallow, num_buckets=args.num_buckets
+        )
     print(json.dumps(res, sort_keys=True))
     return 0 if res["ok"] else 1
 

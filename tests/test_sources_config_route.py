@@ -22,7 +22,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_read_metric_lines_and_parse(ray_session, tmp_path):
-    from beamium_ray.sources.lines import parse_lines_dataset, read_metric_lines
+    from beamium_ray.pipelines.multi import scraper_pipeline
+    from beamium_ray.sources.lines import read_metric_lines
 
     d = tmp_path / "src"
     d.mkdir()
@@ -33,7 +34,7 @@ def test_read_metric_lines_and_parse(ray_session, tmp_path):
     (d / "ignored.txt").write_text("not_scanned 1\n")
 
     ds = read_metric_lines(str(d))
-    parsed = parse_lines_dataset(ds, "prometheus", now_us=99)
+    parsed = scraper_pipeline(ds, EngineConfig(), now_us=99)
     lines = sorted(r["line"] for r in parsed.take_all())
     want = sorted(
         [
@@ -44,9 +45,15 @@ def test_read_metric_lines_and_parse(ray_session, tmp_path):
     )
     assert lines == want  # comments/Inf dropped, .txt not scanned
 
-    # sensision passthrough = trim only
-    sens = parse_lines_dataset(read_metric_lines(str(d)), "sensision")
-    assert all("\n" not in r["line"] for r in sens.take_all())
+    # sensision lines are trimmed before the Warp10 decode
+    w = tmp_path / "warp"
+    w.mkdir()
+    (w / "c-3.metrics").write_text("  1// a{k=v} 2 \t\n")
+    sens = scraper_pipeline(
+        read_metric_lines(str(w)), EngineConfig(format="sensision")
+    ).take_all()
+    assert [r["line"] for r in sens] == ["1// a{k=v} 2"]
+    assert all("\n" not in r["line"] for r in sens)
 
 
 def test_config_from_yaml_and_env_labels(tmp_path):
@@ -376,6 +383,14 @@ def test_check_mode_validates_without_ray(tmp_path, capsys):
     good = tmp_path / "good.yaml"
     good.write_text("format: sensision\nmetrics_whitelist: ['^seq[.]']\n")
     assert run_mod.main(["--check", "--config", str(good)]) == 0
+    assert "configuration is healthy" in capsys.readouterr().out
+
+    # a file that still sets the deleted target_rows_per_block loads:
+    # unknown keys are dropped
+    legacy = tmp_path / "legacy.yaml"
+    legacy.write_text("labels: dc=gra\ntarget_rows_per_block: 500000\n")
+    assert EngineConfig.from_file(str(legacy)).labels == "dc=gra"
+    assert run_mod.main(["--check", "--config", str(legacy)]) == 0
     assert "configuration is healthy" in capsys.readouterr().out
 
     # invalid regex (re2 rejects backreferences that Python re accepts)
