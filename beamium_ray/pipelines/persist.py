@@ -13,7 +13,6 @@ shuffle or merge work.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import pyarrow as pa
@@ -28,15 +27,18 @@ from beamium_ray.stages.rollup import (
     validate_tiers,
 )
 from beamium_ray.state.manifest import (
+    applied_fingerprints,
     atomic_write_bytes,
+    bucket_manifest,
     commit_bucket_manifest,
-    committed_bucket_manifests,
     fold_run_manifest,
     input_fingerprint,
-    iter_bucket_manifests,
+    live_manifests,
     load_committed,
-    manifest_path,
     merge_run_manifest,
+    plan,
+    remove_files,
+    unreferenced_blocks,
 )
 
 MANIFEST_ROW_SCHEMA = pa.schema(
@@ -95,14 +97,7 @@ def _encode_and_commit(
     applied = [fingerprint]
     prior_tier_rows: dict[str, pa.Table] = {}
     if incremental:
-        mpath = manifest_path(out_dir, bucket)
-        prior = None
-        if os.path.exists(mpath):
-            try:
-                with open(mpath) as f:
-                    prior = json.load(f)
-            except (json.JSONDecodeError, OSError):
-                prior = None
+        prior = bucket_manifest(out_dir, bucket)
         if prior and prior.get("config_hash") != config_hash:
             raise ValueError(
                 f"append refused for bucket {bucket}: existing state was "
@@ -111,16 +106,14 @@ def _encode_and_commit(
                 "discard prior history; re-roll from scratch (or to a new "
                 "output dir) after a semantic config change"
             )
-        if prior and prior.get("config_hash") == config_hash:
-            prior_applied = prior.get("applied") or [prior.get("fingerprint")]
+        if prior:
+            prior_applied = applied_fingerprints(prior)
             if fingerprint in prior_applied:
                 return MANIFEST_ROW_SCHEMA.empty_table()  # idempotent rerun
             applied = prior_applied + [fingerprint]
             by_tier: dict[str, list[str]] = {}
-            for b in prior.get("blocks") or []:
-                by_tier.setdefault(b.get("tier", ""), []).append(
-                    os.path.join(out_dir, b["path"])
-                )
+            for e in plan(out_dir, manifests=[prior]):
+                by_tier.setdefault(e.get("tier", ""), []).append(e["path"])
             for t, paths in by_tier.items():
                 old = decode_blocks(paths)
                 # stored rows ARE merge state; drop gap-filled (n=0)
@@ -187,36 +180,30 @@ def _encode_and_commit(
         if lt_max is not None:
             watermark = lt_max if watermark is None else max(watermark, lt_max)
 
-    commit_bucket_manifest(
+    m = commit_bucket_manifest(
         out_dir, bucket, fingerprint, config_hash, blocks, counters, watermark,
         applied=applied,
     )
-    # post-commit GC: older block versions are no longer referenced
-    live = {b["path"] for b in blocks}
-    for tier in tiers:
-        bdir = os.path.join(out_dir, f"tier={tier}", f"bucket={bucket:05d}")
-        if not os.path.isdir(bdir):
-            continue
-        for name in os.listdir(bdir):
-            rel = os.path.join(f"tier={tier}", f"bucket={bucket:05d}", name)
-            if name.startswith("block") and rel not in live:
-                try:
-                    os.remove(os.path.join(bdir, name))
-                except OSError:
-                    pass
+    # post-commit GC: older block versions and crashed writes' leftovers
+    remove_files(unreferenced_blocks(out_dir, m))
     return pa.Table.from_pylist(rows_out, schema=MANIFEST_ROW_SCHEMA)
 
 
-def _roll_buckets(dp_ds, cfg, out_dir, fp, ch, skip, key_col, order_col,
-                  incremental: bool) -> pa.Table:
+def _roll_buckets(dp_ds, cfg, paths, out_dir, key_col, order_col,
+                  incremental: bool):
     """The Ray plan both entry points share: combiner partials (buckets
     in ``skip`` never enter the shuffle) → shuffle by bucket →
-    per-bucket merge/encode/commit. Returns the manifest rows."""
+    per-bucket merge/encode/commit → run manifest. Returns (run
+    manifest, manifest rows)."""
+    out_dir = out_dir or cfg.output_dir
+    validate_tiers(cfg.tiers)  # fail fast, before any compute launches
+    fp, ch = input_fingerprint(paths), cfg.config_hash()
+    # resume: buckets already committed for this input + config; for an
+    # append, buckets that already applied it (crash rerun)
+    skip = frozenset(load_committed(out_dir, fp, ch, append=incremental))
     base_us = min(cfg.tiers.values())
     tiers, gapfill, nb = dict(cfg.tiers), cfg.gapfill, cfg.num_buckets
-    max_gap = cfg.gapfill_max_gap
-    codec = getattr(cfg, "float_codec", "bytes")
-    icodec = getattr(cfg, "int_codec", "bytes")
+    max_gap, codec, icodec = cfg.gapfill_max_gap, cfg.float_codec, cfg.int_codec
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = partial_rollup_batch(
@@ -245,10 +232,13 @@ def _roll_buckets(dp_ds, cfg, out_dir, fp, ch, skip, key_col, order_col,
     if cfg.shuffle_blocks:
         partials = partials.repartition(cfg.shuffle_blocks)
     result = partials.groupby("bucket").map_groups(_merge, batch_format="pyarrow")
-    return pa.concat_tables(
+    rows = pa.concat_tables(
         list(result.iter_batches(batch_format="pyarrow"))
         or [MANIFEST_ROW_SCHEMA.empty_table()]
     )
+    if incremental:
+        return merge_run_manifest_any(out_dir, ch), rows
+    return merge_run_manifest(out_dir, fp, ch), rows
 
 
 def rollup_to_blocks(
@@ -261,16 +251,9 @@ def rollup_to_blocks(
 ):
     """Datapoint Dataset → committed compressed blocks; returns (run
     manifest dict, manifest-rows Dataset result as pa.Table)."""
-    out_dir = out_dir or cfg.output_dir
-    validate_tiers(cfg.tiers)  # fail fast, before any compute launches
-    fp = input_fingerprint(input_paths)
-    ch = cfg.config_hash()
-    # resume: buckets already committed for this input + config
-    skip = frozenset(load_committed(out_dir, fp, ch))
-    manifest_rows = _roll_buckets(
-        dp_ds, cfg, out_dir, fp, ch, skip, key_col, order_col, incremental=False
+    return _roll_buckets(
+        dp_ds, cfg, input_paths, out_dir, key_col, order_col, incremental=False
     )
-    return merge_run_manifest(out_dir, fp, ch), manifest_rows
 
 
 def append_rollup(
@@ -289,21 +272,9 @@ def append_rollup(
     after a crash skips buckets that already applied this append — the
     north rule's "resumes without re-rolling completed windows".
     """
-    out_dir = out_dir or cfg.output_dir
-    validate_tiers(cfg.tiers)
-    new_fp = input_fingerprint(new_paths)
-    ch = cfg.config_hash()
-
-    # buckets that already applied this exact append (crash rerun)
-    skip = frozenset(
-        int(m["bucket"])
-        for _, m in iter_bucket_manifests(out_dir)
-        if m.get("config_hash") == ch and new_fp in (m.get("applied") or [])
+    return _roll_buckets(
+        dp_ds, cfg, new_paths, out_dir, key_col, order_col, incremental=True
     )
-    manifest_rows = _roll_buckets(
-        dp_ds, cfg, out_dir, new_fp, ch, skip, key_col, order_col, incremental=True
-    )
-    return merge_run_manifest_any(out_dir, ch), manifest_rows
 
 
 def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
@@ -312,31 +283,9 @@ def merge_run_manifest_any(out_dir: str, config_hash: str) -> dict:
     fingerprints are equal only once every bucket caught up)."""
     return fold_run_manifest(
         out_dir,
-        (m for _, m in iter_bucket_manifests(out_dir)
-         if m.get("config_hash") == config_hash),
+        (m for _, m in live_manifests(out_dir, config_hash)),
         config_hash=config_hash,
     )
-
-
-def plan_blocks(out_dir: str, tier: str, min_window: int | None = None,
-                max_window: int | None = None) -> list[tuple[str, int]]:
-    """(path, bytes) of the committed ``tier`` blocks a window range
-    needs, in manifest order. Only manifests consistent with the
-    committed _run manifest are visible (stale buckets from a prior run
-    over other input/config must not leak into results — ADVICE r1), and
-    blocks whose [min_window, max_window] misses the range are pruned
-    unread."""
-    plan = []
-    for _, m in committed_bucket_manifests(out_dir):
-        for b in m.get("blocks") or []:
-            if b.get("tier") != tier:
-                continue
-            if min_window is not None and b["max_window"] < min_window:
-                continue
-            if max_window is not None and b["min_window"] > max_window:
-                continue
-            plan.append((os.path.join(out_dir, b["path"]), int(b["bytes"])))
-    return plan
 
 
 def read_blocks_dataset(
@@ -348,7 +297,7 @@ def read_blocks_dataset(
     """Query path over persisted blocks: a Ray Dataset of decoded rolled
     rows for one tier, optionally restricted to a window range.
 
-    ``plan_blocks`` prunes by the manifests' window ranges, and
+    The store's ``plan`` prunes by the manifests' window ranges, and
     ``decode_blocks`` decodes the surviving blocks on the driver with
     the row-level window filter. The Dataset is that one table, so rows
     come in manifest order, as from ``read_blocks``. Decoding in Ray
@@ -357,14 +306,13 @@ def read_blocks_dataset(
     decoding 0.5 MB."""
     import ray.data
 
-    return ray.data.from_arrow(
-        decode_blocks([p for p, _ in plan_blocks(out_dir, tier, min_window, max_window)],
-                      min_window, max_window)
-    )
+    paths = [e["path"] for e in plan(out_dir, tier, min_window, max_window)]
+    return ray.data.from_arrow(decode_blocks(paths, min_window, max_window))
 
 
 def read_blocks(out_dir: str, tier: str) -> pa.Table:
     """Decode all COMMITTED blocks of one tier on the driver, in manifest
-    order (``plan_blocks`` + ``decode_blocks``: only files the manifests
-    reference are read — orphans from a crash window are invisible)."""
-    return decode_blocks([p for p, _ in plan_blocks(out_dir, tier)])
+    order (the store's ``plan`` + ``decode_blocks``: only files the
+    manifests reference are read — orphans from a crash window are
+    invisible)."""
+    return decode_blocks([e["path"] for e in plan(out_dir, tier)])

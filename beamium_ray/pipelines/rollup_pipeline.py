@@ -135,8 +135,9 @@ class DeriveParseRelabel:
         else:
             t = derive_columns_batch(batch, self.now)
             counters = {"inf_nan": batch.num_rows - t.num_rows}
+        t = scrape_tail(t, self.cfg)
         self._flush(counters, batch.num_rows, t.num_rows)
-        return with_series_key(scrape_tail(t, self.cfg))
+        return with_series_key(t)
 
 
 def datapoints(

@@ -38,6 +38,13 @@ import signal
 
 from beamium_ray.config import EngineConfig
 from beamium_ray.stages.derive import DEFAULT_NOW_US
+from beamium_ray.state.manifest import (
+    atomic_write_bytes,
+    file_fingerprint,
+    input_fingerprint,
+    iter_bucket_manifests,
+)
+from beamium_ray.state.retention import retain_after_commit
 
 
 def metrics_datapoints(files: list[str], cfg: EngineConfig,
@@ -182,8 +189,6 @@ class DirectoryWatcher:
         cfg = EngineConfig.from_file(self.config_path)  # raises on bad conf
         cfg.output_dir = self.out_dir  # operational knob, not reloadable
         if cfg.config_hash() != self.cfg.config_hash():
-            from beamium_ray.state.manifest import iter_bucket_manifests
-
             if any(True for _ in iter_bucket_manifests(self.out_dir)):
                 raise ValueError(
                     f"hot reload refused: {self.config_path} changed "
@@ -206,8 +211,6 @@ class DirectoryWatcher:
             return {"seen": [], "pending": None}
 
     def _save_state(self, st: dict) -> None:
-        from beamium_ray.state.manifest import atomic_write_bytes
-
         atomic_write_bytes(
             self.state_path, json.dumps(st, sort_keys=True).encode()
         )
@@ -229,8 +232,6 @@ class DirectoryWatcher:
             if p in exclude:
                 continue
             if p in tomb:
-                from beamium_ray.state.manifest import file_fingerprint
-
                 # identical fingerprint → a restored already-consumed
                 # file; ingesting it would double-count its rows
                 if file_fingerprint(p) == tomb[p]:
@@ -266,8 +267,6 @@ class DirectoryWatcher:
             # as a fresh batch and re-apply rows that buckets already
             # committed — verify against the intent-time fingerprint
             # and abort loudly instead of double-counting
-            from beamium_ray.state.manifest import input_fingerprint
-
             want_fp = st["pending"].get("fingerprint")
             have_fp = input_fingerprint(files)
             if want_fp is not None and have_fp != want_fp:
@@ -289,11 +288,6 @@ class DirectoryWatcher:
 
         new = self.scan(st)
         if new:
-            from beamium_ray.state.manifest import (
-                file_fingerprint,
-                input_fingerprint,
-            )
-
             pending = {"files": new, "fingerprint": input_fingerprint(new)}
             if self.seen_prune:
                 # tombstone fingerprints taken at INTENT time, like the
@@ -310,24 +304,10 @@ class DirectoryWatcher:
             applied = new
         if self.seen_prune and self._prune_seen(st):
             self._save_state(st)
-        # retention per scan, the reference daemon's site (sink.rs:
-        # 102-221 runs the TTL + size-cap sweep on every sink pass).
-        # Data-time TTL ("now" = the run watermark, like run.py) keeps
-        # expiry deterministic; idle ticks don't advance the watermark,
-        # so pruning only after a committed run loses nothing.
-        if (
-            run is not None
-            and self.appender is None
-            and (self.cfg.ttl_us or self.cfg.max_bytes is not None)
-        ):
-            from beamium_ray.state.retention import apply_retention
-
-            run["retention"] = apply_retention(
-                self.out_dir,
-                self.cfg.ttl_us or None,
-                self.cfg.max_bytes,
-                now_us=run.get("watermark"),
-            )
+        # retention per scan, after a committed run of the engine's own
+        # append (an appender owns its own store)
+        if run is not None and self.appender is None:
+            retain_after_commit(self.out_dir, self.cfg, run)
         return {
             "applied": applied,
             "replayed": replayed,
@@ -344,8 +324,6 @@ class DirectoryWatcher:
         can tombstone them."""
         st["seen"] = sorted(set(st["seen"]) | set(files))
         if self.seen_prune:
-            from beamium_ray.state.manifest import file_fingerprint
-
             fps = st.setdefault("seen_fp", {})
             tomb = st.get("tombstones") or {}
             for p in files:

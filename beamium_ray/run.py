@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         from beamium_ray.config import EngineConfig
         from beamium_ray.pipelines.persist import rollup_to_blocks
         from beamium_ray.pipelines.rollup_pipeline import datapoints
-        from beamium_ray.state.retention import apply_retention
+        from beamium_ray.state.retention import retain_after_commit
 
         cfg = (
             EngineConfig.from_file(args.config) if args.config else EngineConfig()
@@ -127,13 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
             run["stage_metrics"] = read_and_drop(metrics_name)
             del metrics_handle
-        if cfg.ttl_us or cfg.max_bytes:
-            # TTL horizon is data-time based: "now" = the run watermark
-            # (deterministic), so expiry doesn't depend on wall clock
-            run["retention"] = apply_retention(
-                args.output, cfg.ttl_us or None, cfg.max_bytes,
-                now_us=run.get("watermark"),
-            )
+        retain_after_commit(args.output, cfg, run)
         print(json.dumps(run))
         return 0
 

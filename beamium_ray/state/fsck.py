@@ -24,9 +24,12 @@ to guarantee:
    manifest from before the ``retention_evicted`` marker (no marker,
    no ``sha256`` on its blocks) may have been pruned unmarked, so
    there a mismatch is only a NOTE;
-5. unreferenced ``block-*.bin`` files are reported as ORPHANS — the
-   legitimate residue of a crash between a block write and its
-   manifest rename (persist.py's crash-window design) — never fatal.
+5. block files no committed manifest references (a crashed write's
+   ``.tmp.<pid>`` leftovers included; the store's
+   ``unreferenced_blocks``, the same rule the post-commit GC deletes
+   by) are reported as ORPHANS — the legitimate residue of a crash
+   between a block write and its manifest rename (persist.py's
+   crash-window design) — never fatal.
 
 Scale shape: the manifest walk is driver-side (manifests are lineage
 metadata — KBs per bucket), but the deep block verification is a Ray
@@ -51,32 +54,10 @@ import os
 import pyarrow as pa
 
 
-def _expected_rows(out_dir: str) -> list[dict]:
-    """Flatten committed manifests into one lineage row per block."""
-    from beamium_ray.state.manifest import committed_bucket_manifests
-
-    rows = []
-    for _, m in committed_bucket_manifests(out_dir):
-        for b in m.get("blocks") or []:
-            rows.append(
-                {
-                    "path": os.path.join(out_dir, b["path"]),
-                    "tier": b.get("tier", ""),
-                    "bucket": int(m["bucket"]),
-                    "rows": int(b["rows"]),
-                    "points": int(b["points"]),
-                    "min_window": int(b["min_window"]),
-                    "max_window": int(b["max_window"]),
-                    "bytes": int(b["bytes"]),
-                    # absent on stores rolled before the hash landed
-                    "sha256": b.get("sha256") or "",
-                }
-            )
-    return rows
-
-
-def _verify_block(row: dict, num_buckets: int | None) -> str | None:
-    """Deep-verify ONE block against its lineage row; None when clean."""
+def _verify_block(row: dict, num_buckets: int | None,
+                  deep: bool = True) -> str | None:
+    """Verify ONE block against its lineage row (shallow: existence and
+    size only); None when clean."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -84,12 +65,18 @@ def _verify_block(row: dict, num_buckets: int | None) -> str | None:
     from beamium_ray.stages.gorilla import decode_block
 
     try:
+        size = os.path.getsize(row["path"])
+    except OSError:
+        return "missing"
+    if size != row["bytes"]:
+        return f"size {size} != manifest {row['bytes']}"
+    if not deep:
+        return None
+    try:
         with open(row["path"], "rb") as f:
             buf = f.read()
     except OSError as e:
         return f"unreadable: {e}"
-    if len(buf) != row["bytes"]:
-        return f"size {len(buf)} != manifest {row['bytes']}"
     if row.get("sha256"):
         import hashlib
 
@@ -135,27 +122,27 @@ def fsck(
     from beamium_ray.state.manifest import (
         committed_bucket_manifests,
         iter_bucket_manifests,
+        manifest_buckets,
+        plan,
+        unreferenced_blocks,
     )
 
-    mdir = os.path.join(out_dir, "_manifests")
-    all_manifest_files = (
-        sorted(f for f in os.listdir(mdir) if f.endswith(".json"))
-        if os.path.isdir(mdir)
-        else []
-    )
     readable = list(iter_bucket_manifests(out_dir))
     committed = list(committed_bucket_manifests(out_dir))
-    torn = len(all_manifest_files) - len(readable)
+    torn = len(manifest_buckets(out_dir)) - len(readable)
     stale = len(readable) - len(committed)
 
     errors: list[str] = []
     notes: list[str] = []
 
-    # manifest-internal counter / watermark re-derivation (driver-side:
-    # pure metadata arithmetic)
+    # one lineage row per committed block, and the manifest-internal
+    # counter / watermark re-derivation (driver-side: pure metadata
+    # arithmetic)
+    expected: list[dict] = []
     for path, m in committed:
-        blocks = m.get("blocks") or []
-        tiers = {b.get("tier", "") for b in blocks}
+        blocks = plan(out_dir, manifests=[m])
+        # sha256 is absent on stores rolled before the hash landed
+        expected.extend({**b, "sha256": b.get("sha256") or ""} for b in blocks)
         if m.get("retention_evicted"):
             # counters are roll-time lineage; retention rewrote the
             # block list without touching them (by design), so they no
@@ -169,13 +156,10 @@ def fsck(
                 int(m["counters"].get("points_rolled", -1)),
                 int(m["counters"].get("windows", -1)),
             )
-            got = {
-                t: (
-                    sum(b["points"] for b in blocks if b.get("tier") == t),
-                    sum(b["rows"] for b in blocks if b.get("tier") == t),
-                )
-                for t in tiers
-            }
+            got: dict[str, tuple[int, int]] = {}
+            for b in blocks:
+                p, r = got.get(b.get("tier", ""), (0, 0))
+                got[b.get("tier", "")] = (p + b["points"], r + b["rows"])
             if want not in got.values():
                 msg = (
                     f"{os.path.basename(path)}: counters {want} re-derive "
@@ -184,78 +168,41 @@ def fsck(
                 pre_marker = not any(b.get("sha256") for b in blocks)
                 (notes if pre_marker else errors).append(msg)
 
-    expected = _expected_rows(out_dir)
+    # block files no committed manifest references (crash-window
+    # residue, tmp leftovers included; post-commit GC candidates)
+    orphans = sum(1 for _ in unreferenced_blocks(out_dir))
 
-    # orphan sweep: block files on disk that no committed manifest
-    # references (crash-window residue; post-commit GC candidates)
-    referenced = {r["path"] for r in expected}
-    orphans = 0
-    for root, _dirs, files in os.walk(out_dir):
-        rel = os.path.relpath(root, out_dir)
-        parts = [] if rel == "." else rel.split(os.sep)
-        # skip the metadata trees by path COMPONENT — a substring test
-        # on the absolute root would disable the sweep entirely for an
-        # out_dir whose own path contains '_run'/'_manifests'
-        if parts and parts[0] in ("_manifests", "_run"):
-            continue
-        for f in files:
-            if f.startswith("block-") and f.endswith(".bin"):
-                if os.path.join(root, f) not in referenced:
-                    orphans += 1
+    if deep and use_ray and expected:
+        import ray.data
 
-    blocks_checked = 0
-    if deep and expected:
-        if use_ray:
-            import ray.data
-
-            nb = num_buckets
-
-            def verify(batch: pa.Table) -> pa.Table:
-                rows = batch.to_pylist()
-                errs = [_verify_block(r, nb) for r in rows]
-                return pa.table(
-                    {
-                        "path": pa.array([r["path"] for r in rows]),
-                        "err": pa.array(errs, pa.string()),
-                    }
-                )
-
-            verdicts = (
-                ray.data.from_items(expected)
-                .map_batches(verify, batch_format="pyarrow", batch_size=64)
-                .take_all()  # one short string per block — driver-sized
+        def verify(batch: pa.Table) -> pa.Table:
+            rows = batch.to_pylist()
+            errs = [_verify_block(r, num_buckets) for r in rows]
+            return pa.table(
+                {
+                    "path": pa.array([r["path"] for r in rows]),
+                    "err": pa.array(errs, pa.string()),
+                }
             )
-            for v in verdicts:
-                blocks_checked += 1
-                if v["err"]:
-                    errors.append(f"{os.path.relpath(v['path'], out_dir)}: "
-                                  f"{v['err']}")
-        else:
-            for r in expected:
-                blocks_checked += 1
-                e = _verify_block(r, num_buckets)
-                if e:
-                    errors.append(f"{os.path.relpath(r['path'], out_dir)}: {e}")
-    elif expected:  # shallow: existence + size only
-        for r in expected:
-            blocks_checked += 1
-            try:
-                size = os.path.getsize(r["path"])
-            except OSError:
-                errors.append(
-                    f"{os.path.relpath(r['path'], out_dir)}: missing"
-                )
-                continue
-            if size != r["bytes"]:
-                errors.append(
-                    f"{os.path.relpath(r['path'], out_dir)}: size {size} "
-                    f"!= manifest {r['bytes']}"
-                )
+
+        verdicts = (
+            ray.data.from_items(expected)
+            .map_batches(verify, batch_format="pyarrow", batch_size=64)
+            .take_all()  # one short string per block — driver-sized
+        )
+    else:
+        verdicts = [
+            {"path": r["path"], "err": _verify_block(r, num_buckets, deep)}
+            for r in expected
+        ]
+    for v in verdicts:
+        if v["err"]:
+            errors.append(f"{os.path.relpath(v['path'], out_dir)}: {v['err']}")
 
     return {
         "ok": not errors,
         "buckets_committed": len(committed),
-        "blocks_checked": blocks_checked,
+        "blocks_checked": len(verdicts),
         "torn_manifests": torn,
         "stale_manifests": stale,
         "orphan_blocks": orphans,

@@ -15,6 +15,12 @@ reference's write-tmp-then-rename files (``src/scraper.rs:253-265``,
   (input_fingerprint, config_hash) match — killed runs never re-roll
   completed windows (north rule).
 
+This module is the one block store: every other module reaches a
+manifest's block list only through it — the liveness rule
+(:func:`live_manifests`), the block plan (:func:`plan`), a bucket's
+prior state (:func:`bucket_manifest`), the unreferenced-file rule
+(:func:`unreferenced_blocks`) and eviction (:func:`evict`).
+
 Layout (SURVEY.md §4.3)::
 
     out/
@@ -25,6 +31,7 @@ Layout (SURVEY.md §4.3)::
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -81,8 +88,6 @@ def ensure_parquet_dir(path: str, schema) -> None:
     ``schema`` even when the writing Dataset had zero rows (Ray writes
     no files for an empty Dataset, and a manifest must never point at a
     parquet-less dir)."""
-    import glob
-
     import pyarrow.parquet as pq
 
     if glob.glob(os.path.join(path, "*.parquet")):
@@ -93,6 +98,31 @@ def ensure_parquet_dir(path: str, schema) -> None:
 
 def manifest_path(out_dir: str, bucket: int) -> str:
     return os.path.join(out_dir, "_manifests", f"bucket={bucket:05d}.json")
+
+
+def _load_json(path: str) -> dict | None:
+    """The JSON at ``path``, or None when absent or torn (a half-written
+    file is treated as uncommitted)."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
+def _write_manifest(out_dir: str, m: dict) -> None:
+    atomic_write_bytes(
+        manifest_path(out_dir, int(m["bucket"])),
+        json.dumps(m, sort_keys=True).encode(),
+    )
+
+
+def remove_files(paths) -> None:
+    for p in paths:
+        try:
+            os.remove(p)
+        except OSError:
+            pass
 
 
 def commit_bucket_manifest(
@@ -115,30 +145,52 @@ def commit_bucket_manifest(
         "counters": counters,
         "committed_at": time.time(),
     }
-    atomic_write_bytes(
-        manifest_path(out_dir, bucket), json.dumps(m, sort_keys=True).encode()
-    )
+    _write_manifest(out_dir, m)
     return m
 
 
-def iter_bucket_manifests(out_dir: str):
-    """Yield (path, manifest_dict) for every readable bucket manifest.
-
-    The single place that knows the directory layout and tolerates torn
-    writes (a half-written JSON is skipped = treated as uncommitted).
-    """
+def manifest_buckets(out_dir: str) -> list[int]:
+    """Buckets with a manifest file, readable or torn, in bucket order."""
     mdir = os.path.join(out_dir, "_manifests")
     if not os.path.isdir(mdir):
-        return
-    for name in sorted(os.listdir(mdir)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(mdir, name)
-        try:
-            with open(path) as f:
-                yield path, json.load(f)
-        except (json.JSONDecodeError, OSError):
-            continue
+        return []
+    return sorted(
+        int(name[len("bucket="):-len(".json")])
+        for name in os.listdir(mdir)
+        if name.startswith("bucket=") and name.endswith(".json")
+    )
+
+
+def bucket_manifest(out_dir: str, bucket: int) -> dict | None:
+    """``bucket``'s manifest, or None when it has none or it is torn."""
+    return _load_json(manifest_path(out_dir, bucket))
+
+
+def iter_bucket_manifests(out_dir: str):
+    """Yield (path, manifest_dict) for every readable bucket manifest,
+    in bucket order; a torn one is skipped (treated as uncommitted)."""
+    for bucket in manifest_buckets(out_dir):
+        m = bucket_manifest(out_dir, bucket)
+        if m is not None:
+            yield manifest_path(out_dir, bucket), m
+
+
+def applied_fingerprints(m: dict) -> list[str]:
+    """The input fingerprints folded into a bucket: its append lineage."""
+    return m.get("applied") or [m.get("fingerprint")]
+
+
+def live_manifests(out_dir: str, config_hash: str, fingerprint: str | None = None):
+    """Yield (path, m) for the bucket manifests that a run manifest of
+    this identity publishes — the one liveness rule that readers,
+    resume and the run-manifest fold share: same config_hash and, for a
+    non-append run (the only kind that carries a fingerprint), same
+    fingerprint."""
+    for path, m in iter_bucket_manifests(out_dir):
+        if m.get("config_hash") == config_hash and (
+            fingerprint is None or m.get("fingerprint") == fingerprint
+        ):
+            yield path, m
 
 
 def committed_bucket_manifests(out_dir: str):
@@ -151,34 +203,99 @@ def committed_bucket_manifests(out_dir: str):
     readable run manifest ⇒ the run never committed ⇒ nothing is
     visible (the run manifest is the atomic publish point).
     """
-    p = os.path.join(out_dir, "_run", "manifest.json")
-    try:
-        with open(p) as f:
-            run = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return
-    ch = run.get("config_hash")
-    fp = run.get("fingerprint")  # absent on --append runs
-    for path, m in iter_bucket_manifests(out_dir):
-        if m.get("config_hash") != ch:
-            continue
-        if fp is not None and m.get("fingerprint") != fp:
-            continue
-        yield path, m
+    run = _load_json(os.path.join(out_dir, "_run", "manifest.json"))
+    if run is not None:
+        yield from live_manifests(
+            out_dir, run.get("config_hash"), run.get("fingerprint")
+        )
 
 
-def load_committed(out_dir: str, fingerprint: str, config_hash: str) -> dict[int, dict]:
-    """Buckets already rolled for this exact input+config."""
-    out: dict[int, dict] = {}
-    for _, m in iter_bucket_manifests(out_dir):
-        if m.get("fingerprint") == fingerprint and m.get("config_hash") == config_hash:
-            out[int(m["bucket"])] = m
-    return out
+def load_committed(out_dir: str, fingerprint: str, config_hash: str,
+                   append: bool = False) -> dict[int, dict]:
+    """Buckets already rolled for this exact input+config (the resume
+    skip set). With ``append``: the buckets whose append lineage already
+    holds ``fingerprint``, which a crashed append's rerun skips."""
+    return {
+        int(m["bucket"]): m
+        for _, m in live_manifests(out_dir, config_hash, None if append else fingerprint)
+        if not append or fingerprint in applied_fingerprints(m)
+    }
+
+
+def plan(out_dir: str, tier: str | None = None, min_window: int | None = None,
+         max_window: int | None = None, manifests=None) -> list[dict]:
+    """One entry per block of ``manifests`` (manifest dicts; by default
+    the live ones, :func:`committed_bucket_manifests`), in manifest
+    order: the block's manifest record with ``bucket`` added and
+    ``path`` made absolute. ``tier`` None keeps every tier; blocks whose
+    [min_window, max_window] misses the range are pruned unread."""
+    if manifests is None:
+        manifests = (m for _, m in committed_bucket_manifests(out_dir))
+    entries = []
+    for m in manifests:
+        for b in m.get("blocks") or []:
+            if tier is not None and b.get("tier") != tier:
+                continue
+            if min_window is not None and b["max_window"] < min_window:
+                continue
+            if max_window is not None and b["min_window"] > max_window:
+                continue
+            entries.append({**b, "bucket": int(m["bucket"]),
+                            "path": os.path.join(out_dir, b["path"])})
+    return entries
+
+
+def unreferenced_blocks(out_dir: str, manifest: dict | None = None):
+    """Yield the block files (``block*``, a crashed write's
+    ``.tmp.<pid>`` leftovers included) that no manifest references.
+    With ``manifest``: in its bucket's directories, against its own
+    blocks (the post-commit GC). Without: in every bucket, against the
+    live plan (fsck's orphan count)."""
+    bucket = "*" if manifest is None else f"{int(manifest['bucket']):05d}"
+    live = plan(out_dir, manifests=None if manifest is None else [manifest])
+    referenced = {e["path"] for e in live}
+    pattern = os.path.join(
+        glob.escape(out_dir), "tier=*", f"bucket={bucket}", "block*"
+    )
+    for path in sorted(glob.glob(pattern)):
+        if path not in referenced:
+            yield path
+
+
+def evict(out_dir: str, victims: list[dict]) -> None:
+    """Drop ``victims`` (:func:`plan` entries) from the store. Each
+    touched manifest is rewritten once, without them, and its
+    ``retention_evicted`` marker grows by the number it lost (counters
+    stay roll-time lineage; the marker tells fsck that the blocks no
+    longer re-derive them). The files go last: a crash in between leaves
+    unreferenced orphans, never a manifest pointing at a deleted file."""
+    gone: dict[int, set[str]] = {}
+    for v in victims:
+        gone.setdefault(v["bucket"], set()).add(v["path"])
+    for bucket, paths in gone.items():
+        m = bucket_manifest(out_dir, bucket)
+        if m is not None:
+            blocks = m.get("blocks") or []
+            m["blocks"] = [b for b in blocks
+                           if os.path.join(out_dir, b["path"]) not in paths]
+            m["retention_evicted"] = (
+                int(m.get("retention_evicted", 0)) + len(blocks) - len(m["blocks"])
+            )
+            _write_manifest(out_dir, m)
+    remove_files(p for paths in gone.values() for p in paths)
 
 
 def merge_run_manifest(out_dir: str, fingerprint: str, config_hash: str) -> dict:
-    """Merge bucket manifests into _run/manifest.json (committed last)."""
+    """Merge this run's bucket manifests into _run/manifest.json
+    (committed last). A non-append run replaces the store, so it first
+    drops every bucket manifest it did not write — the manifest, then
+    its block files. Left in place, an earlier run's buckets would come
+    back at the next append, which publishes every bucket of its
+    config."""
     committed = load_committed(out_dir, fingerprint, config_hash)
+    for path, m in iter_bucket_manifests(out_dir):
+        if int(m["bucket"]) not in committed:
+            remove_files([path] + [e["path"] for e in plan(out_dir, manifests=[m])])
     return fold_run_manifest(
         out_dir, committed.values(),
         fingerprint=fingerprint, config_hash=config_hash,

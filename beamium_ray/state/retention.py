@@ -7,8 +7,10 @@ OLDEST entries are evicted first (``skip_max_size``). Here "oldest" is
 data time (a block's max window_start), not mtime — deterministic for a
 batch engine — and eviction operates on the manifest + block files.
 
-Crash-ordering contract (mirrors the commit protocol): the manifest is
-rewritten WITHOUT the evicted blocks FIRST, then the files are deleted.
+This module is the policy only; the store (``manifest.evict``) keeps
+the crash-ordering contract, which mirrors the commit protocol: the
+manifest is rewritten WITHOUT the evicted blocks FIRST, then the files
+are deleted.
 A crash in between leaves unreferenced orphan files (harmless, invisible
 to the manifest-driven readers) — never a manifest pointing at a
 deleted file.
@@ -16,10 +18,7 @@ deleted file.
 
 from __future__ import annotations
 
-import json
-import os
-
-from beamium_ray.state.manifest import atomic_write_bytes, iter_bucket_manifests
+from beamium_ray.state.manifest import evict, iter_bucket_manifests, plan
 
 
 def apply_retention(
@@ -33,82 +32,45 @@ def apply_retention(
 
     ttl_us: per-tier horizon — blocks whose max_window < now - ttl[tier]
     are dropped (TTL analog, ref sink.rs:102-146). max_bytes: total cap,
-    oldest-by-data-time evicted first (ref sink.rs:172-222).
+    oldest-by-data-time evicted first (ref sink.rs:172-222). Nothing is
+    written when nothing is evicted.
     """
-    counters = {
-        "windows_expired": 0,
-        "blocks_ttl_evicted": 0,
-        "blocks_size_evicted": 0,
-    }
-    manifests = list(iter_bucket_manifests(out_dir))
-    if not manifests:
-        counters["bytes_after"] = 0
-        return counters
-
-    to_delete: list[str] = []
-
-    def rewrite(path: str, m: dict) -> None:
-        atomic_write_bytes(path, json.dumps(m, sort_keys=True).encode())
-
-    # TTL pass: manifest rewrite first, file deletion after
-    if ttl_us and now_us is not None:
-        for path, m in manifests:
-            kept, dropped = [], []
-            for b in m.get("blocks") or []:
-                horizon = ttl_us.get(b.get("tier", ""), None)
-                if horizon is not None and b.get("max_window") is not None and (
-                    b["max_window"] < now_us - horizon
-                ):
-                    dropped.append(b)
-                else:
-                    kept.append(b)
-            if dropped:
-                m["blocks"] = kept
-                # counters stay as roll-time lineage; the marker tells
-                # readers (fsck) that blocks no longer re-derive them
-                m["retention_evicted"] = (
-                    int(m.get("retention_evicted", 0)) + len(dropped)
-                )
-                rewrite(path, m)
-                for b in dropped:
-                    to_delete.append(b["path"])
-                    counters["blocks_ttl_evicted"] += 1
-                    counters["windows_expired"] += b.get("rows", 0)
-
-    # size-cap pass: evict oldest (min max_window) first
-    if max_bytes is not None:
-        all_blocks = [
-            (path, m, b)
-            for path, m in manifests
-            for b in (m.get("blocks") or [])
-        ]
-        total = sum(b.get("bytes", 0) for _, _, b in all_blocks)
-        all_blocks.sort(key=lambda x: (x[2].get("max_window") or 0))
-        changed: dict[str, dict] = {}
-        i = 0
-        while total > max_bytes and i < len(all_blocks):
-            path, m, b = all_blocks[i]
-            m["blocks"] = [x for x in m["blocks"] if x is not b]
-            m["retention_evicted"] = int(m.get("retention_evicted", 0)) + 1
-            total -= b.get("bytes", 0)
-            counters["blocks_size_evicted"] += 1
-            changed[path] = m
-            to_delete.append(b["path"])
-            i += 1
-        for path, m in changed.items():
-            rewrite(path, m)
-        counters["bytes_after"] = total
-    else:
-        counters["bytes_after"] = sum(
-            b.get("bytes", 0)
-            for _, m in manifests
-            for b in (m.get("blocks") or [])
+    ttl = (ttl_us or {}) if now_us is not None else {}
+    expired, kept = [], []
+    # every readable manifest, live or stale: like the reference's one
+    # directory scan, retention bounds what the directory holds
+    for b in plan(out_dir, manifests=(m for _, m in iter_bucket_manifests(out_dir))):
+        horizon = ttl.get(b.get("tier", ""))
+        old = horizon is not None and b.get("max_window") is not None and (
+            b["max_window"] < now_us - horizon
         )
+        (expired if old else kept).append(b)
+    total = sum(b.get("bytes", 0) for b in kept)
+    capped = []
+    if max_bytes is not None:
+        # oldest (min max_window) first, manifest order among equals
+        for b in sorted(kept, key=lambda b: b.get("max_window") or 0):
+            if total <= max_bytes:
+                break
+            capped.append(b)
+            total -= b.get("bytes", 0)
+    evict(out_dir, expired + capped)
+    return {
+        "windows_expired": sum(b.get("rows", 0) for b in expired),
+        "blocks_ttl_evicted": len(expired),
+        "blocks_size_evicted": len(capped),
+        "bytes_after": total,
+    }
 
-    # files last: a crash above leaves only harmless orphans
-    for rel in to_delete:
-        try:
-            os.remove(os.path.join(out_dir, rel))
-        except OSError:
-            pass
-    return counters
+
+def retain_after_commit(out_dir: str, cfg, run: dict) -> None:
+    """Retention after a committed run, at the reference daemon's site
+    (sink.rs:102-221 sweeps on every sink pass), when ``cfg`` sets a TTL
+    or a size cap; the counters land in ``run["retention"]``. The TTL is
+    data-time — "now" is the run watermark — so expiry is deterministic,
+    and an idle tick, which moves no watermark, has nothing to expire."""
+    if cfg.ttl_us or cfg.max_bytes is not None:
+        run["retention"] = apply_retention(
+            out_dir, cfg.ttl_us or None, cfg.max_bytes,
+            now_us=run.get("watermark"),
+        )

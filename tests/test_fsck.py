@@ -17,12 +17,9 @@ from beamium_ray.state.fsck import fsck
 OUT = "/tmp/beamium_ray_test_fsck"
 
 
-def _roll(ray_session, n=6000):
-    import ray.data
-
-    shutil.rmtree(OUT, ignore_errors=True)
+def _table(n=6000):
     rng = np.random.default_rng(11)
-    t = pa.table(
+    return pa.table(
         {
             "series_key": pa.array(
                 rng.choice([f"s{i}" for i in range(20)], n).tolist(),
@@ -33,6 +30,13 @@ def _roll(ray_session, n=6000):
             "order": pa.array(np.arange(n), pa.int64()),
         }
     )
+
+
+def _roll(ray_session, n=6000):
+    import ray.data
+
+    shutil.rmtree(OUT, ignore_errors=True)
+    t = _table(n)
     cfg = EngineConfig(
         tiers={"1m": 60_000, "1h": 3_600_000}, num_buckets=8, output_dir=OUT
     )
@@ -145,21 +149,33 @@ def test_fsck_pre_marker_retained_store_is_healthy(ray_session):
 
 
 def test_fsck_orphan_sweep_with_metadata_like_path(ray_session, tmp_path):
-    """The metadata-tree skip must match path COMPONENTS relative to
-    the store root — an out_dir whose own path contains '_run' must not
-    disable orphan detection."""
+    """An out_dir whose own path contains '_run' must not disable
+    orphan detection. fsck counts what the post-commit GC
+    deletes, a crashed write's tmp file included, and the next commit
+    to the bucket removes it."""
     import shutil
 
-    _roll(ray_session)
+    import ray.data
+
+    from beamium_ray.pipelines.persist import append_rollup
+
+    cfg = _roll(ray_session)
     tricky = tmp_path / "bench_run" / "store"
     os.makedirs(os.path.dirname(tricky))
     shutil.copytree(OUT, tricky)
     orphan_dir = tricky / "tier=1m" / "bucket=00000"
     os.makedirs(orphan_dir, exist_ok=True)
-    with open(orphan_dir / "block-feedface.bin", "wb") as f:
-        f.write(b"crash residue")
-    res = fsck(str(tricky), deep=False, use_ray=False)
-    assert res["ok"] and res["orphan_blocks"] == 1
+    for name in ("block-feedface.bin", "block-feedface.bin.tmp.123"):
+        with open(orphan_dir / name, "wb") as f:
+            f.write(b"crash residue")
+        res = fsck(str(tricky), deep=False, use_ray=False)
+        assert res["ok"] and res["orphan_blocks"] == 1, name
+
+        append_rollup(ray.data.from_arrow(_table(600)), cfg,
+                      [f"memory://{name}"], str(tricky))
+        assert not os.path.exists(orphan_dir / name)
+        res = fsck(str(tricky), deep=False, use_ray=False)
+        assert res["ok"] and res["orphan_blocks"] == 0, name
 
 
 def test_fsck_detects_lineage_tampering(ray_session):

@@ -1,0 +1,37 @@
+"""Source-level invariants of the package — one Ray start, one router
+for the filters, one block store — checked by scanning its source
+text: no Ray, milliseconds."""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+PKG = pathlib.Path(__file__).resolve().parent.parent / "beamium_ray"
+
+
+def _files_with(needle: str, *subdirs: str) -> list[str]:
+    roots = [PKG / d for d in subdirs] if subdirs else [PKG]
+    return sorted(
+        str(p.relative_to(PKG))
+        for root in roots
+        for p in root.rglob("*.py")
+        if needle in p.read_text()
+    )
+
+
+def test_only_cli_starts_ray():
+    assert _files_with("ray.init(") == ["cli.py"]
+
+
+@pytest.mark.parametrize("needle", ["whitelist_batch(", "relabel_batch("])
+def test_filters_run_only_through_the_router(needle):
+    assert set(_files_with(needle, "pipelines", "sources")) <= {
+        "pipelines/route.py"
+    }
+
+
+@pytest.mark.parametrize("needle", ['get("blocks")', '["blocks"]', '"_manifests"'])
+def test_block_lists_only_in_the_store(needle):
+    assert _files_with(needle) == ["state/manifest.py"]

@@ -169,6 +169,31 @@ def test_append_after_base_ttl_preserves_coarse_history(ray_session, cfg):
     assert old.select(want.column_names).equals(want)
 
 
+def test_retention_that_evicts_nothing_writes_nothing(ray_session, cfg):
+    """The watch daemon runs retention on every tick, mostly with a TTL
+    that does not fire: no manifest may be rewritten then."""
+    import ray.data
+
+    _fresh()
+    rollup_to_blocks(
+        ray.data.from_arrow(_mk_dp(n=4000)).repartition(2), cfg,
+        ["memory://dp"], OUT,
+    )
+    mdir = os.path.join(OUT, "_manifests")
+
+    def stats():
+        return {n: (st.st_mtime_ns, st.st_ino)
+                for n in sorted(os.listdir(mdir))
+                for st in [os.stat(os.path.join(mdir, n))]}
+
+    before = stats()
+    assert len(before) == cfg.num_buckets
+    c = apply_retention(OUT, ttl_us={"1m": 10**15}, max_bytes=10**12,
+                        now_us=50_000_000)
+    assert c["blocks_ttl_evicted"] == 0 and c["blocks_size_evicted"] == 0
+    assert stats() == before
+
+
 def test_manifest_is_crash_safe(cfg):
     _fresh()
     os.makedirs(os.path.join(OUT, "_manifests"), exist_ok=True)
@@ -207,3 +232,17 @@ def test_stale_manifests_invisible_to_readers(ray_session, cfg):
     assert int(pc.sum(got["n"]).as_py()) == small.num_rows
     ds_rows = read_blocks_dataset(OUT, "1m").take_all()
     assert {r["series_key"] for r in ds_rows} == {"only-s0"}
+
+    # an append publishes every bucket of its config: run A's buckets
+    # that B did not rewrite must be gone, not merely hidden, or they
+    # come back here — only B ∪ C is readable
+    from beamium_ray.pipelines.persist import append_rollup
+
+    c = _mk_dp(n=300, seed=5)
+    c = c.set_column(0, "series_key", pa.array(["only-s0"] * c.num_rows))
+    run_c, _ = append_rollup(ray.data.from_arrow(c), cfg, ["memory://c"], OUT)
+    got = read_blocks(OUT, "1m")
+    assert set(got["series_key"].to_pylist()) == {"only-s0"}
+    assert int(pc.sum(got["n"]).as_py()) == small.num_rows + c.num_rows
+    assert run_c["counters"]["points_rolled"] == small.num_rows + c.num_rows
+    assert run_c["buckets_committed"] == run_b["buckets_committed"]

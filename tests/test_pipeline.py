@@ -111,19 +111,24 @@ def test_metrics_actor_in_pipeline(ray_session):
     from beamium_ray.state.metrics import get_or_create
 
     batch = make_chunk(0, 12000)
-    name = "test-metrics-actor"
-    actor = get_or_create(name)  # driver-owned; handle must stay live
-    dp = datapoints(
-        ray.data.from_arrow(batch).repartition(4),
-        EngineConfig(),
-        mode="lines",
-        metrics_actor=name,
-    )
-    n_out = dp.count()
-    m = read_and_drop(name)
-    assert m["rows_in"] == 12000
-    assert m["rows_out"] == n_out
-    assert m["inf_nan"] == 12000 - n_out > 0
-    # actor is gone after read_and_drop
-    assert read_and_drop(name) == {}
-    del actor
+    # the second config filters after the parse: rows_out counts what
+    # the stage returns, not what the parse produced
+    cfgs = (EngineConfig(), EngineConfig(metrics_whitelist=["shard=7"]))
+    for i, cfg in enumerate(cfgs):
+        name = f"test-metrics-actor-{i}"
+        actor = get_or_create(name)  # driver-owned; handle must stay live
+        dp = datapoints(
+            ray.data.from_arrow(batch).repartition(4),
+            cfg,
+            mode="lines",
+            metrics_actor=name,
+        )
+        n_out = dp.count()
+        m = read_and_drop(name)
+        assert m["rows_in"] == 12000
+        assert m["rows_out"] == n_out > 0
+        if not cfg.metrics_whitelist:
+            assert m["inf_nan"] == 12000 - n_out > 0
+        # actor is gone after read_and_drop
+        assert read_and_drop(name) == {}
+        del actor

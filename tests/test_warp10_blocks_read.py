@@ -62,11 +62,11 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path):
 
     from beamium_ray.config import EngineConfig
     from beamium_ray.pipelines.persist import (
-        plan_blocks,
         read_blocks,
         read_blocks_dataset,
         rollup_to_blocks,
     )
+    from beamium_ray.state.manifest import plan
 
     out = str(tmp_path / "blocks")
     rng = np.random.default_rng(9)
@@ -88,7 +88,7 @@ def test_read_blocks_dataset_pruning(ray_session, tmp_path):
         return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
     whole = read_blocks(out, "1m")
-    assert len(plan_blocks(out, "1m")) == 4  # one block per bucket
+    assert len(plan(out, "1m")) == 4  # one block per bucket
     # decoded on the driver: one Ray block, whatever the plan's size
     assert read_blocks_dataset(out, "1m").materialize().num_blocks() == 1
     got = rows(read_blocks_dataset(out, "1m"))
