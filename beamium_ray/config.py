@@ -79,7 +79,7 @@ class EngineConfig:
     # rollup
     tiers: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_TIERS))
     num_buckets: int = 64  # series_key hash buckets (the one shuffle)
-    shuffle_blocks: int | None = None  # coalesce partials pre-shuffle (~CPUs)
+    shuffle_blocks: int | None = None  # coalesce partials pre-shuffle (None: CPUs)
     gapfill: bool = True
     gapfill_max_gap: int | None = None  # longest hole (windows) to fill
 
@@ -102,6 +102,14 @@ class EngineConfig:
         "format", "metrics_whitelist", "labels", "filtered_labels",
         "selector", "tiers", "num_buckets", "gapfill", "gapfill_max_gap",
     )
+
+    def rollup_shuffle_blocks(self) -> int:
+        """Blocks the rollup partials coalesce to before the shuffle:
+        ``shuffle_blocks``, or the cluster's CPU count when it is unset
+        (SCALING.md §4)."""
+        from beamium_ray.functions.cluster import cluster_cpus
+
+        return cluster_cpus() if self.shuffle_blocks is None else self.shuffle_blocks
 
     def config_hash(self) -> str:
         d = asdict(self)

@@ -13,6 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.encoding import string_bytes
 from beamium_ray.functions.hashing import bucket_of, hash64, splitmix64
 
@@ -97,20 +98,11 @@ def exact_dedup(
                 ["doc_id", "n"]
             )
 
-        return (
-            ds.map_batches(partial128, batch_format="pyarrow", batch_size=None)
-            .groupby("bucket")
-            .map_groups(merge128, batch_format="pyarrow")
-        )
+        return bucket_apply(ds, merge128, prep=partial128)
 
-    out = (
-        ds.map_batches(
-            lambda b: exact_partial_batch(b, text_col, id_col, num_buckets),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .groupby("bucket")
-        .map_groups(exact_merge_group, batch_format="pyarrow")
+    out = bucket_apply(
+        ds, exact_merge_group,
+        prep=lambda b: exact_partial_batch(b, text_col, id_col, num_buckets),
     )
     if not keep_text:
         out = out.select_columns(["doc_id", "n"])
@@ -212,11 +204,7 @@ def exact_dedup_tokens(
         )
         return g.rename_columns(["h1", "h2", "id", "n"]).select(["id", "n"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, merge, prep=partial)
 
 
 # ---------------- shingling + MinHash ----------------
@@ -593,11 +581,7 @@ def _raw_pair_ds(
             cols["pb"] = pa.array(pl[bi])
         return pa.table(cols)
 
-    return (
-        index_rows.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("bkt")
-        .map_groups(gen, batch_format="pyarrow")
-    )
+    return bucket_apply(index_rows, gen, by="bkt", prep=tag)
 
 
 def candidate_pair_ds(
@@ -1068,9 +1052,7 @@ def connected_components(
         """(k, val=requester) requests × (doc_id→cluster) labels →
         (requester, cluster(k)) via ONE bucket shuffle."""
         tagged = _tag(labels, "doc_id", "cluster", 0).union(requests)
-        return tagged.groupby("bkt").map_groups(
-            _resolve, batch_format="pyarrow"
-        )
+        return bucket_apply(tagged, _resolve, by="bkt")
 
     def _fold(cand):
         """labels ← min(labels ∪ candidate (doc_id, cluster) rows).
@@ -1176,15 +1158,11 @@ def minhash_dedup(
     singles = ds.map_batches(self_edges, batch_format="pyarrow", batch_size=None)
 
     if verify_threshold is None:
-        band_rows = ds.map_batches(
-            lambda b: minhash_bands_batch(
+        star = bucket_apply(
+            ds, lsh_star_edges, by=["band", "band_hash"],
+            prep=lambda b: minhash_bands_batch(
                 b, text_col, id_col, num_perm, bands, k, shingles
             ),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        star = band_rows.groupby(["band", "band_hash"]).map_groups(
-            lsh_star_edges, batch_format="pyarrow"
         )
         edges = star.map_batches(
             lambda t: pa.table({"a": t["doc_id"], "b": t["label"]}),
@@ -2222,11 +2200,7 @@ def chunk_dedup(
     def merge(g: pa.Table) -> pa.Table:
         return _first_per_chunk(g).drop_columns(["bkt"])
 
-    return (
-        ds.map_batches(rows, batch_format="pyarrow", batch_size=None)
-        .groupby("bkt")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, merge, by="bkt", prep=rows)
 
 
 def frequent_chunk_hashes(
@@ -2272,11 +2246,7 @@ def frequent_chunk_hashes(
             ["h1", "h2"]
         )
 
-    freq = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    freq = bucket_apply(ds, merge, prep=partial)
     parts = [
         b for b in freq.iter_batches(batch_format="pyarrow", batch_size=None)
         if b.num_rows

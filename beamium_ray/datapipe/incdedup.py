@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
 
 
@@ -902,8 +903,6 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             return t.append_column("sbkt", pa.array(sb, pa.int32()))
 
         def w(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"n": pa.array([], pa.int64())})
             bkt = int(g["sbkt"][0].as_py())
             _atomic_write_table(
                 g.select(["band", "band_hash", idc]),
@@ -911,9 +910,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             )
             return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-        band_ds.map_batches(
-            tag, batch_format="pyarrow", batch_size=None
-        ).groupby("sbkt").map_groups(w, batch_format="pyarrow").count()
+        bucket_apply(band_ds, w, by="sbkt", prep=tag).count()
 
     def _write_docs_distributed(self, mat, tick: int) -> None:
         """Append the tick's (id, text) payload, bucketed by id % B.
@@ -934,8 +931,6 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             )
 
         def w(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return pa.table({"n": pa.array([], pa.int64())})
             bkt = int(g["sbkt"][0].as_py())
             _atomic_write_table(
                 g.select([idc, txc]),
@@ -943,9 +938,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             )
             return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-        mat.map_batches(
-            tag, batch_format="pyarrow", batch_size=None
-        ).groupby("sbkt").map_groups(w, batch_format="pyarrow").count()
+        bucket_apply(mat, w, by="sbkt", prep=tag).count()
 
 
 class IncrementalSemanticDedup(_IncrementalDedupBase):

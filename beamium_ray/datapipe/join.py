@@ -33,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import bucket_of
 
 _SIDE_L = np.int8(0)
@@ -159,16 +160,7 @@ def hash_join(
             cols["r_" + o] = b[n]
         return pa.table(cols)
 
-    out_fields = (
-        [(on, ltypes[on])]
-        + [(n, ltypes[n]) for n in lpay]
-        + [(o, rtypes[n]) for n, o in zip(rnames, out_rnames)]
-    )
-    out_schema = pa.schema(out_fields)
-
     def merge(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return out_schema.empty_table()
         side = g["side"].to_numpy(zero_copy_only=False)
         # dense codes make key equality exact for ANY key dtype
         codes = _null_safe_codes(
@@ -211,9 +203,7 @@ def hash_join(
     ).union(
         right.map_batches(prep_right, batch_format="pyarrow", batch_size=None)
     )
-    if shuffle_blocks:
-        unioned = unioned.repartition(shuffle_blocks)
-    return unioned.groupby("bkt").map_groups(merge, batch_format="pyarrow")
+    return bucket_apply(unioned, merge, by="bkt", shuffle_blocks=shuffle_blocks)
 
 
 def broadcast_lookup(

@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from beamium_ray.functions.cluster import bucket_apply
+
 
 def pack_offsets(
     counts_ds,
@@ -86,19 +88,7 @@ def pack_offsets(
         base[k] = acc
         acc += int(totals[k])
 
-    empty = pa.table(
-        {
-            id_col: pa.array([], pa.int64()),
-            count_col: pa.array([], pa.int64()),
-            "offset": pa.array([], pa.int64()),
-            "seq_id": pa.array([], pa.int64()),
-            "seq_off": pa.array([], pa.int64()),
-        }
-    )
-
     def scan(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:  # hash-shuffle groupbys emit empty blocks
-            return empty
         ids = g[id_col].to_numpy(zero_copy_only=False)
         n = g[count_col].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(ids, kind="stable")
@@ -116,7 +106,7 @@ def pack_offsets(
             }
         )
 
-    return tagged.groupby("_bkt").map_groups(scan, batch_format="pyarrow")
+    return bucket_apply(tagged, scan, by="_bkt")
 
 
 def emit_packed_rows(
@@ -227,8 +217,6 @@ def emit_packed_rows(
         )
 
     def emit(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return empty
         ids = _col(g, id_col).to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")
         toks = _col(g, tokens_col).take(pa.array(order))
@@ -261,11 +249,7 @@ def emit_packed_rows(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
-        .groupby("_bkt")
-        .map_groups(emit, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, emit, by="_bkt", prep=tag)
 
 
 def truncate_sequences(
@@ -355,7 +339,7 @@ def length_bucket_batches(
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         n = t[count_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # ids/counts normalized to int64 here so every downstream block
-        # (including the empty-group table) carries ONE schema — mixed
+        # (including the empty-input table) carries ONE schema — mixed
         # int32/int64 blocks trip Ray's schema-drift warning and break
         # downstream joins
         return pa.table(
@@ -379,8 +363,6 @@ def length_bucket_batches(
         acc[lb] = base[(lb, rb)] + int(cell_counts[(lb, rb)])
 
     def scan(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:  # hash-shuffle groupbys emit empty blocks
-            return empty
         ids = g[id_col].to_numpy(zero_copy_only=False)
         n = g[count_col].to_numpy(zero_copy_only=False).astype(np.int64)
         o = np.argsort(ids, kind="stable")
@@ -400,9 +382,7 @@ def length_bucket_batches(
             }
         )
 
-    return tagged.groupby(["_lb", "_rb"]).map_groups(
-        scan, batch_format="pyarrow"
-    )
+    return bucket_apply(tagged, scan, by=["_lb", "_rb"])
 
 
 def split_sequences(

@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
 
 
@@ -72,8 +73,6 @@ def dedupe_pairs_ds(raw_pairs, num_partitions: int):
     def pdedupe(g: pa.Table) -> pa.Table:
         a = g["a"].to_numpy()
         b = g["b"].to_numpy()
-        if len(a) == 0:
-            return g.drop_columns(["pbkt"])
         ab = np.stack([a, b], axis=1)
         uniq, first_idx, inv = np.unique(
             ab, axis=0, return_index=True, return_inverse=True
@@ -93,11 +92,7 @@ def dedupe_pairs_ds(raw_pairs, num_partitions: int):
             cols[extra] = _as_array(g[extra]).take(take)
         return pa.table(cols)
 
-    return (
-        raw_pairs.map_batches(ptag, batch_format="pyarrow", batch_size=None)
-        .groupby("pbkt")
-        .map_groups(pdedupe, batch_format="pyarrow")
-    )
+    return bucket_apply(raw_pairs, pdedupe, by="pbkt", prep=ptag)
 
 
 def _bloom_hashes(k: np.ndarray, mask: np.uint64):
@@ -287,9 +282,7 @@ def pair_metric_join(
             }
         )
 
-    answered = tagged.groupby("bkt").map_groups(
-        resolve, batch_format="pyarrow"
-    )
+    answered = bucket_apply(tagged, resolve, by="bkt")
 
     def combine(g: pa.Table) -> pa.Table:
         a = g["a"].to_numpy(zero_copy_only=False)
@@ -302,8 +295,6 @@ def pair_metric_join(
                 metric_name: pa.array([], pa.float64()),
             }
         )
-        if len(a) == 0:
-            return empty
         order = np.lexsort((side, b, a))
         a_s, b_s, s_s = a[order], b[order], side[order]
         # a pair has exactly one side-0 and one side-1 row (pairs are
@@ -332,9 +323,7 @@ def pair_metric_join(
             }
         )
 
-    return answered.groupby("pbkt").map_groups(
-        combine, batch_format="pyarrow"
-    )
+    return bucket_apply(answered, combine, by="pbkt")
 
 
 # ---------------- vectorized per-pair metric kernels ----------------

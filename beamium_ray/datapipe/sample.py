@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
 
 SAMPLE_SALT = 0x452821E638D01377  # pi hex digits, < 2^63 (SQL literal)
@@ -266,9 +267,7 @@ def cap_per_key(
             }
         )
 
-    narrowed = ds.map_batches(
-        narrow, batch_format="pyarrow", batch_size=None
-    ).groupby(key_col).map_groups(threshold, batch_format="pyarrow")
+    narrowed = bucket_apply(ds, threshold, by=key_col, prep=narrow)
     return _threshold_filter(ds, narrowed, key_col, id_col, salt)
 
 
@@ -365,8 +364,6 @@ def token_budget_per_key(
                 }
             )
 
-        if g.num_rows == 0:
-            return rows(g[key_col], [], [])
         h = g["h"].to_numpy().astype(np.uint64)
         ids = g[id_col].to_numpy()
         n = g["n"].to_numpy()
@@ -389,9 +386,7 @@ def token_budget_per_key(
             [int(ids[at])],
         )
 
-    narrowed = ds.map_batches(
-        narrow, batch_format="pyarrow", batch_size=None
-    ).groupby(key_col).map_groups(threshold, batch_format="pyarrow")
+    narrowed = bucket_apply(ds, threshold, by=key_col, prep=narrow)
     return _threshold_filter(ds, narrowed, key_col, id_col, salt)
 
 
@@ -444,16 +439,7 @@ def shuffle_order(
         base[k] = acc
         acc += int(counts[k])
 
-    empty = pa.table(
-        {
-            id_col: pa.array([], pa.int64()),
-            "shuffle_pos": pa.array([], pa.int64()),
-        }
-    )
-
     def rank(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:  # hash-shuffle groupbys emit empty blocks
-            return empty
         ids = g[id_col].to_numpy()
         h = g["h"].to_numpy().astype(np.uint64)
         order = np.lexsort((ids, h))
@@ -468,4 +454,4 @@ def shuffle_order(
             }
         )
 
-    return tagged.groupby("_bkt").map_groups(rank, batch_format="pyarrow")
+    return bucket_apply(tagged, rank, by="_bkt")

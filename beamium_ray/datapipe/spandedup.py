@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
 
 logger = logging.getLogger(__name__)
@@ -182,8 +183,6 @@ def _marks_fn(keep: str):
         empty = pa.table(
             {"id": pa.array([], pa.int64()), "pos": pa.array([], pa.int64())}
         )
-        if g.num_rows == 0:
-            return empty
         h1 = g["h1"].to_numpy(zero_copy_only=False)
         h2 = g["h2"].to_numpy(zero_copy_only=False)
         ids = g["id"].to_numpy(zero_copy_only=False)
@@ -359,16 +358,9 @@ def remove_duplicate_spans(
     from beamium_ray.functions.cluster import default_partitions
 
     P = num_buckets or default_partitions()
-    marks = (
-        ds.map_batches(
-            _occurrence_fn(list_col, id_col, window, P),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .groupby("bucket")
-        .map_groups(_marks_fn(keep), batch_format="pyarrow")
-        .materialize()
-    )
+    marks = bucket_apply(
+        ds, _marks_fn(keep), prep=_occurrence_fn(list_col, id_col, window, P)
+    ).materialize()
     n_marks = marks.count()
     if distributed is None:
         distributed = n_marks > max_broadcast_marks
@@ -449,22 +441,14 @@ def _distributed_apply(ds, marks, *, list_col, id_col, window, P):
 
     from beamium_ray.functions.cluster import default_partitions
 
-    tagged = (
-        ds.map_batches(tag_payload, batch_format="pyarrow", batch_size=None)
-        .union(
-            marks.map_batches(
-                tag_marks, batch_format="pyarrow", batch_size=None
-            )
-        )
-        .repartition(default_partitions())
-    )
+    tagged = ds.map_batches(
+        tag_payload, batch_format="pyarrow", batch_size=None
+    ).union(marks.map_batches(tag_marks, batch_format="pyarrow", batch_size=None))
 
     def apply_group(g: pa.Table) -> pa.Table:
         out_fields = [
             (n, typ) for n, typ in zip(pay_names, pay_types)
         ] + [("n_removed", pa.int64())]
-        if g.num_rows == 0 or "_side" not in g.column_names:
-            return pa.schema(out_fields).empty_table()
         side = g["_side"].to_numpy(zero_copy_only=False)
         is_pay = side == 0
         pay = g.filter(pa.array(is_pay)).select(pay_names)
@@ -479,6 +463,6 @@ def _distributed_apply(ds, marks, *, list_col, id_col, window, P):
             list_col, id_col, window,
         )
 
-    return tagged.groupby("_sbkt").map_groups(
-        apply_group, batch_format="pyarrow"
+    return bucket_apply(
+        tagged, apply_group, by="_sbkt", shuffle_blocks=default_partitions()
     )

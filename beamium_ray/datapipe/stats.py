@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
+
 
 def group_quantiles(
     ds,
@@ -48,13 +50,6 @@ def group_quantiles(
 
     def q(g: pa.Table) -> pa.Table:
         cols: dict = {key_col: g[key_col].slice(0, 1)}
-        if g.num_rows == 0:
-            for n in names:
-                cols[n] = pa.array([], pa.int64())
-            if count_col is not None:
-                cols[count_col] = pa.array([], pa.int64())
-            cols[key_col] = g[key_col]
-            return pa.table(cols)
         from beamium_ray.functions.quantile import quantile_sorted
 
         v = np.sort(g[value_col].to_numpy(zero_copy_only=False))
@@ -70,11 +65,7 @@ def group_quantiles(
             cols[count_col] = pa.array([g.num_rows], pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(narrow, batch_format="pyarrow", batch_size=None)
-        .groupby(key_col)
-        .map_groups(q, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, q, by=key_col, prep=narrow)
 
 
 # ---------------- HyperLogLog distinct sketch ----------------
@@ -668,8 +659,6 @@ def bigram_topk(
         )
 
     def local_topk(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return empty.select(["key", "n"])
         keys = g["key"].to_numpy(zero_copy_only=False)
         n = g["n"].to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
@@ -687,11 +676,7 @@ def bigram_topk(
             }
         )
 
-    cand = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(local_topk, batch_format="pyarrow")
-    )
+    cand = bucket_apply(ds, local_topk, prep=partial)
     parts = [
         b for b in cand.iter_batches(batch_format="pyarrow", batch_size=None)
         if b.num_rows
@@ -789,12 +774,6 @@ def binned_quantiles(
         return binned_quantile_partials(b, key_col, value_col, lo, hi, n_bins)
 
     def final(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            # key type comes from the group schema, not an assumption
-            fields = [(key_col, g.schema.field(key_col).type)]
-            fields += [(n, pa.int64()) for n in names]
-            fields.append(("n", pa.int64()))
-            return pa.schema(fields).empty_table()
         dense = np.zeros(n_bins, dtype=np.int64)
         np.add.at(
             dense,
@@ -814,8 +793,4 @@ def binned_quantiles(
         cols["n"] = pa.array([n], pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby(key_col)
-        .map_groups(final, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, final, by=key_col, prep=partial)

@@ -9,6 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
 
 PUNCT_RE = r"[.,!?;:]"
@@ -444,8 +445,6 @@ def dataset_report(
     shuffle."""
 
     def merge(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return g
         m = g.group_by([strat_col], use_threads=False).aggregate(
             [("n_docs", "sum"), ("n_tok_ws", "sum"),
              ("n_chars", "sum"), ("n_keep", "sum")]
@@ -454,14 +453,9 @@ def dataset_report(
             [strat_col, "n_docs", "n_tok_ws", "n_chars", "n_keep"]
         )
 
-    return (
-        ds.map_batches(
-            lambda b: dataset_report_rows(b, strat_col, text_col, id_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .groupby(strat_col)
-        .map_groups(merge, batch_format="pyarrow")
+    return bucket_apply(
+        ds, merge, by=strat_col,
+        prep=lambda b: dataset_report_rows(b, strat_col, text_col, id_col),
     )
 
 

@@ -93,3 +93,24 @@ def shuffle_blocks_for(cardinality: int | None = None, floor: int = 4) -> int:
     if cardinality is not None:
         n = min(n, max(1, cardinality))
     return n
+
+
+def bucket_apply(ds, fn, *, by="bucket", prep=None, shuffle_blocks=None):
+    """The engine's one keyed shuffle: ``groupby(by).map_groups(fn)``.
+
+    ``prep`` runs first as a whole-block pyarrow map (it usually tags
+    each row with its bucket); ``shuffle_blocks`` then coalesces the
+    stream to that many blocks (falsy: no coalesce). ``by`` is a
+    column name or a list of them. ``fn`` itself goes to
+    ``map_groups``, so the operator keeps its name in Ray's logs.
+
+    CONTRACT (pinned by tests/test_bucket_apply.py): ``fn`` gets a
+    pyarrow Table holding ALL rows of exactly one distinct ``by`` value
+    and is never called with 0 rows — Ray's ``_apply_udf_to_groups``
+    finds no group boundaries in an empty or zero-column block — so a
+    UDF needs no empty-group guard."""
+    if prep is not None:
+        ds = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
+    if shuffle_blocks:
+        ds = ds.repartition(shuffle_blocks)
+    return ds.groupby(by).map_groups(fn, batch_format="pyarrow")

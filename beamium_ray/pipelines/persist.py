@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from beamium_ray.config import EngineConfig
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.stages.gorilla import decode_blocks, encode_block
 from beamium_ray.stages.rollup import (
     merge_cascade_gapfill,
@@ -228,10 +229,9 @@ def _roll_buckets(dp_ds, cfg, paths, out_dir, key_col, order_col,
     narrow = dp_ds.select_columns(
         [c for c in [key_col, "ts", "value", order_col] if c]
     )
-    partials = narrow.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    if cfg.shuffle_blocks:
-        partials = partials.repartition(cfg.shuffle_blocks)
-    result = partials.groupby("bucket").map_groups(_merge, batch_format="pyarrow")
+    result = bucket_apply(
+        narrow, _merge, prep=_partial, shuffle_blocks=cfg.rollup_shuffle_blocks()
+    )
     rows = pa.concat_tables(
         list(result.iter_batches(batch_format="pyarrow"))
         or [MANIFEST_ROW_SCHEMA.empty_table()]

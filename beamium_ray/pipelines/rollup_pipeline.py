@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from beamium_ray.config import EngineConfig
 from beamium_ray.sources.tokens import _NTOK_SALT, _SRC_SALT, _SOURCE_CUM, SOURCES, VOCAB
@@ -170,7 +169,7 @@ def rollup_from_datapoints(dp_ds, cfg: EngineConfig):
         order_col="order",
         num_buckets=cfg.num_buckets,
         gapfill=cfg.gapfill,
-        shuffle_blocks=cfg.shuffle_blocks,
+        shuffle_blocks=cfg.rollup_shuffle_blocks(),
         gapfill_max_gap=cfg.gapfill_max_gap,
     )
 
@@ -181,36 +180,3 @@ def flagship(seq_ds, cfg: EngineConfig | None = None, now_us: int = DEFAULT_NOW_
     cfg = cfg or EngineConfig()
     dp = datapoints(seq_ds, cfg, now_us, mode)
     return dp, rollup_from_datapoints(dp, cfg)
-
-
-def stage_metrics(seq_ds, cfg: EngineConfig, now_us: int = DEFAULT_NOW_US) -> dict:
-    """Per-stage counters (reference T5 self-metrics, SURVEY.md §2.3):
-    one extra streaming pass emitting a 1-row count table per batch,
-    summed with a tiny aggregate. Keys mirror beamium's series:
-    ``fetch_datapoints``→rows_in, ``push_datapoints``→rows_out, plus
-    drop-rule tallies.
-    """
-
-    def count(batch: pa.Table) -> pa.Table:
-        lined = derive_lines_batch(batch, now_us)
-        counters: dict = {}
-        from beamium_ray.stages.parse import parse_prometheus_batch
-
-        parsed = parse_prometheus_batch(lined["line"], now_us, counters)
-        return pa.table(
-            {
-                "rows_in": pa.array([batch.num_rows], pa.int64()),
-                "rows_out": pa.array([parsed.num_rows], pa.int64()),
-                "comment_or_empty": pa.array(
-                    [counters.get("comment_or_empty", 0)], pa.int64()
-                ),
-                "inf_nan": pa.array([counters.get("inf_nan", 0)], pa.int64()),
-                "bad_class": pa.array([counters.get("bad_class", 0)], pa.int64()),
-                "no_value": pa.array([counters.get("no_value", 0)], pa.int64()),
-            }
-        )
-
-    counts = seq_ds.map_batches(count, batch_format="pyarrow", batch_size=None)
-    # one streaming pass; the count table is 1 row per input block
-    total = pa.concat_tables(list(counts.iter_batches(batch_format="pyarrow")))
-    return {c: pc.sum(total[c]).as_py() or 0 for c in total.column_names}

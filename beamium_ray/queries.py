@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import beamium_ray.oracle_sql_gen as _gen
 from beamium_ray.config import EngineConfig
 from beamium_ray.datapipe.bpe import default_merges as _bpe_default_merges
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.stages.filters import route_batch, whitelist_batch
 from beamium_ray.stages.parse import parse_table
 from beamium_ray.stages.relabel import relabel_batch
@@ -302,18 +303,7 @@ def user_stats_events(sf_dir: str):
             }
         )
 
-    _GTOP_SCHEMA = pa.schema(
-        [
-            ("q", pa.string()),
-            ("skey", pa.string()),
-            ("vsum", pa.int64()),
-            ("n", pa.int64()),
-        ]
-    )
-
     def topk_group(g: pa.Table, k: int = 3) -> pa.Table:
-        if g.num_rows == 0:
-            return _GTOP_SCHEMA.empty_table()
         vs = g["vsum"].to_numpy(zero_copy_only=False)
         uid = g["user_id"].to_numpy(zero_copy_only=False)
         pick = np.lexsort((uid, -vs))[:k]
@@ -329,9 +319,7 @@ def user_stats_events(sf_dir: str):
             }
         )
 
-    gtop = per_user.groupby("event_type").map_groups(
-        topk_group, batch_format="pyarrow"
-    )
+    gtop = bucket_apply(per_user, topk_group, by="event_type")
 
     return _union(
         [
@@ -388,9 +376,7 @@ def dedup_exact_docs(sf_dir: str):
             }
         )
 
-    incremental = assign.groupby("cluster").map_groups(
-        lambda g: to_reps(g), batch_format="pyarrow"
-    )
+    incremental = bucket_apply(assign, lambda g: to_reps(g), by="cluster")
     return _union(
         [
             _tag(exact_dedup(docs), "mode", "text"),
@@ -1943,15 +1929,21 @@ def tokens_payload_roundtrip(sf_dir: str):
 
 
 def flagship_stage_metrics(sf_dir: str):
-    """T5 self-metrics as a value-verified 1-row result: the flagship
-    parse-stage counters (rows_in / rows_out / inf_nan) recomputed in
-    SQL from the derive rules."""
-    import ray.data
+    """T5 self-metrics as a value-verified 1-row result: the totals the
+    flagship's fused parse stage flushes to the counter actor (rows_in /
+    rows_out / inf_nan — what ``run`` reports), recomputed in SQL from
+    the derive rules."""
+    import uuid
 
-    from beamium_ray.pipelines.rollup_pipeline import stage_metrics
+    from beamium_ray.pipelines.rollup_pipeline import datapoints
+    from beamium_ray.state.metrics import get_or_create, read_and_drop
 
+    name = f"beamium-metrics-{uuid.uuid4().hex[:12]}"
+    actor = get_or_create(name)  # driver-owned; the handle must stay live
     cfg = EngineConfig(labels="env=prod", num_buckets=16)
-    m = stage_metrics(_flagship_seq(sf_dir), cfg)
+    datapoints(_flagship_seq(sf_dir), cfg, mode="lines", metrics_actor=name).count()
+    m = read_and_drop(name)
+    del actor
     return pa.table(
         {
             "rows_in": pa.array([m["rows_in"]], pa.int64()),
@@ -2022,11 +2014,8 @@ def sliding_rollup_events(sf_dir: str):
 
     from beamium_ray.functions.cluster import shuffle_blocks_for
 
-    rolled = (
-        expanded.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-        .repartition(shuffle_blocks_for(16))
-        .groupby("bucket")
-        .map_groups(_merge, batch_format="pyarrow")
+    rolled = bucket_apply(
+        expanded, _merge, prep=_partial, shuffle_blocks=shuffle_blocks_for(16)
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -2098,11 +2087,7 @@ def session_windows_events(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(sessions_bucket, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, sessions_bucket, prep=prep)
 
 
 def asof_last_click_events(sf_dir: str):
@@ -2154,11 +2139,7 @@ def asof_last_click_events(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pyarrow")
-    )
+    return bucket_apply(ds, asof_bucket, prep=prep)
 
 
 def counter_rate_events(sf_dir: str):

@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import bucket_of, hash64
 
 
@@ -525,29 +526,19 @@ def counter_increase_dataset(
         def merge_runs(g: pa.Table) -> pa.Table:
             return merge_runs_bucket(g, tiers, emit_state=emit_state)
 
-        parts = ds.map_batches(
-            partial, batch_format="pyarrow", batch_size=None
-        )
-        if shuffle_blocks:
-            # coalesce the PARTIAL stream (output-sized rows). The raw
-            # input must NOT be repartitioned on this route — its block
-            # geometry IS the combiner's per-block-run contract — but
-            # each partial row already carries its source block's run
-            # boundaries, so partial-block geometry is free to change.
-            parts = parts.repartition(shuffle_blocks)
-        return parts.groupby("bucket").map_groups(
-            merge_runs, batch_format="pyarrow"
+        # the coalesce applies to the PARTIAL stream (output-sized
+        # rows). The raw input must NOT be repartitioned on this route —
+        # its block geometry IS the combiner's per-block-run contract —
+        # but each partial row already carries its source block's run
+        # boundaries, so partial-block geometry is free to change.
+        return bucket_apply(
+            ds, merge_runs, prep=partial, shuffle_blocks=shuffle_blocks
         )
 
     def merge(g: pa.Table) -> pa.Table:
         return increase_bucket(g, tiers, emit_state=emit_state)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-    if shuffle_blocks:
-        prepped = prepped.repartition(shuffle_blocks)
-    return prepped.groupby("bucket").map_groups(
-        merge, batch_format="pyarrow"
-    )
+    return bucket_apply(ds, merge, prep=prep, shuffle_blocks=shuffle_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +572,10 @@ def _churn_partial(
     return d.append_column("bucket", pa.array(bkt, pa.int32()))
 
 
-_CHURN_SCHEMA = pa.schema(
-    [
-        ("cls", pa.string()),
-        ("window_start", pa.int64()),
-        ("active_users", pa.int64()),
-        ("new_users", pa.int64()),
-    ]
-)
-
-
 def _churn_bucket(g: pa.Table) -> pa.Table:
     """Per-bucket partial counts. Every uid lives wholly in one bucket,
     so distinct-uid counts per (cls, window) and first-window counts
     sum exactly across buckets."""
-    if g.num_rows == 0:  # hash-shuffle groupby emits empty per-key blocks
-        return _CHURN_SCHEMA.empty_table()
     d = g.group_by(["cls", "uid", "window_start"], use_threads=False).aggregate(
         []
     )  # re-distinct across blocks
@@ -639,25 +618,19 @@ def series_churn_dataset(
             b, window_us, class_col, uid_col, ts_col, num_buckets
         )
 
-    partials = (
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-        .groupby("bucket")
-        .map_groups(_churn_bucket, batch_format="pyarrow")
-    )
+    partials = bucket_apply(ds, _churn_bucket, prep=prep)
 
     def final(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _CHURN_SCHEMA.empty_table()
         out = g.group_by(["cls", "window_start"], use_threads=False).aggregate(
             [("active_users", "sum"), ("new_users", "sum")]
         )
         return out.rename_columns(
             ["cls", "window_start", "active_users", "new_users"]
-        ).select(_CHURN_SCHEMA.names)
+        )
 
     # final merge: ≤ B rows per (cls, window); group on cls (handful of
     # classes — each group's row count is bounded by windows × B)
-    return partials.groupby("cls").map_groups(final, batch_format="pyarrow")
+    return bucket_apply(partials, final, by="cls")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import bucket_of
 
 AGG_COLS = ["vmin", "vmax", "vsum", "n", "last", "last_ts"]
@@ -533,7 +534,4 @@ def rollup_dataset(
             group, tiers, gapfill, gapfill_max_gap, gapfill_interpolate
         )
 
-    partials = ds.map_batches(_partial, batch_format="pyarrow", batch_size=None)
-    if shuffle_blocks:
-        partials = partials.repartition(shuffle_blocks)
-    return partials.groupby("bucket").map_groups(_merge, batch_format="pyarrow")
+    return bucket_apply(ds, _merge, prep=_partial, shuffle_blocks=shuffle_blocks)

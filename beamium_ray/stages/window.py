@@ -49,6 +49,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import bucket_of
 
 
@@ -148,12 +149,7 @@ def sliding_quantiles_dataset(
     def merge(g: pa.Table) -> pa.Table:
         return sliding_quantiles_bucket(g, qs, names)
 
-    expanded = ds.map_batches(expand, batch_format="pyarrow", batch_size=None)
-    if shuffle_blocks:
-        expanded = expanded.repartition(shuffle_blocks)
-    return expanded.groupby("bucket").map_groups(
-        merge, batch_format="pyarrow"
-    )
+    return bucket_apply(ds, merge, prep=expand, shuffle_blocks=shuffle_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +269,7 @@ def spike_flags_dataset(
     def merge(g: pa.Table) -> pa.Table:
         return spike_flags_bucket(g, lookback, min_baseline)
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
-    if shuffle_blocks:
-        prepped = prepped.repartition(shuffle_blocks)
-    return prepped.groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return bucket_apply(ds, merge, prep=prep, shuffle_blocks=shuffle_blocks)
 
 
 # ---------------------------------------------------------------------------

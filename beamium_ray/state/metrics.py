@@ -3,9 +3,9 @@
 The reference keeps global Prometheus counters (T5, SURVEY.md §2.3).
 Here stages flush their per-batch drop-rule tallies to one named
 actor with fire-and-forget calls (no backpressure on the hot path);
-the driver reads the totals once at the end and folds them into the
-run manifest. This replaces the separate ``stage_metrics`` counting
-pass when a metrics actor name is configured.
+the driver reads the totals once at the end. They are the engine's
+only stage counters: ``run`` prints them as ``stage_metrics``, and the
+gate's ``queries.flagship_stage_metrics`` reads them the same way.
 
 ACCURACY CONTRACT: these are observability counters, like the
 reference's Prometheus series — at-least-once (a retried map task

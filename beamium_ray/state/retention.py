@@ -18,7 +18,13 @@ deleted file.
 
 from __future__ import annotations
 
-from beamium_ray.state.manifest import evict, iter_bucket_manifests, plan
+from beamium_ray.state.manifest import (
+    evict,
+    fold_run_manifest,
+    iter_bucket_manifests,
+    live_manifests,
+    plan,
+)
 
 
 def apply_retention(
@@ -68,9 +74,16 @@ def retain_after_commit(out_dir: str, cfg, run: dict) -> None:
     (sink.rs:102-221 sweeps on every sink pass), when ``cfg`` sets a TTL
     or a size cap; the counters land in ``run["retention"]``. The TTL is
     data-time — "now" is the run watermark — so expiry is deterministic,
-    and an idle tick, which moves no watermark, has nothing to expire."""
+    and an idle tick, which moves no watermark, has nothing to expire.
+    An eviction re-folds ``_run/manifest.json`` under the run's own
+    identity and updates ``run`` to match, so both count the blocks
+    that are left; an eviction of nothing writes nothing."""
     if cfg.ttl_us or cfg.max_bytes is not None:
-        run["retention"] = apply_retention(
+        res = run["retention"] = apply_retention(
             out_dir, cfg.ttl_us or None, cfg.max_bytes,
             now_us=run.get("watermark"),
         )
+        if res["blocks_ttl_evicted"] or res["blocks_size_evicted"]:
+            ident = {k: run[k] for k in ("fingerprint", "config_hash") if k in run}
+            live = live_manifests(out_dir, run["config_hash"], run.get("fingerprint"))
+            run.update(fold_run_manifest(out_dir, (m for _, m in live), **ident))

@@ -1,6 +1,6 @@
 """Source-level invariants of the package — one Ray start, one router
-for the filters, one block store — checked by scanning its source
-text: no Ray, milliseconds."""
+for the filters, one block store, one keyed shuffle — checked by
+scanning its source text: no Ray, milliseconds."""
 
 from __future__ import annotations
 
@@ -35,3 +35,9 @@ def test_filters_run_only_through_the_router(needle):
 @pytest.mark.parametrize("needle", ['get("blocks")', '["blocks"]', '"_manifests"'])
 def test_block_lists_only_in_the_store(needle):
     assert _files_with(needle) == ["state/manifest.py"]
+
+
+def test_one_bucket_shuffle():
+    # every keyed shuffle goes through functions.cluster.bucket_apply,
+    # whose no-empty-group contract tests/test_bucket_apply.py pins
+    assert _files_with("map_groups(") == ["functions/cluster.py"]

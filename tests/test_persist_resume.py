@@ -116,6 +116,62 @@ def test_retention_ttl_and_size(ray_session, cfg):
     assert c2["bytes_after"] <= c["bytes_after"] // 2
 
 
+def test_retention_refolds_the_run_manifest(ray_session, cfg):
+    """An eviction after the commit re-folds ``_run/manifest.json``:
+    it and the run dict count the blocks left, not the ones rolled."""
+    import ray.data
+
+    from beamium_ray.state.manifest import plan
+    from beamium_ray.state.retention import retain_after_commit
+
+    _fresh()
+    ds = ray.data.from_arrow(_mk_dp()).repartition(4)
+    run, _ = rollup_to_blocks(ds, cfg, ["memory://dp"], OUT)
+    assert run["n_blocks"] == 16
+    cfg.ttl_us = {"1m": 10_000}  # every 1m block ends before the horizon
+    retain_after_commit(OUT, cfg, run)
+    assert run["retention"]["blocks_ttl_evicted"] == 8
+    left = plan(OUT)
+    with open(os.path.join(OUT, "_run", "manifest.json")) as f:
+        on_disk = json.load(f)
+    for m in (run, on_disk):
+        assert m["n_blocks"] == len(left) == 8
+        assert m["total_block_bytes"] == sum(
+            os.path.getsize(b["path"]) for b in left
+        )
+        assert m["fingerprint"] == input_fingerprint(["memory://dp"])
+
+
+def test_default_config_coalesces_to_the_cpu_count(ray_session, cfg):
+    """``shuffle_blocks`` unset coalesces the rollup partials to the
+    cluster's CPU count, in both rollup entry points, and rolls the same
+    blocks as setting it to that count."""
+    import dataclasses
+
+    import ray.data
+
+    from beamium_ray.functions.cluster import cluster_cpus
+    from beamium_ray.pipelines.rollup_pipeline import rollup_from_datapoints
+    from beamium_ray.state.manifest import plan
+
+    cpus = cluster_cpus()
+    assert cfg.shuffle_blocks is None and cfg.rollup_shuffle_blocks() == cpus
+    ds = ray.data.from_arrow(_mk_dp()).repartition(4)
+
+    def coalesces(op):
+        return (type(op).__name__ == "Repartition" and op._keys is None
+                and op._num_outputs == cpus) or any(
+            coalesces(d) for d in op.input_dependencies)
+
+    assert coalesces(rollup_from_datapoints(ds, cfg)._logical_plan.dag)
+    shas = []
+    for c in (cfg, dataclasses.replace(cfg, shuffle_blocks=cpus)):
+        _fresh()
+        rollup_to_blocks(ds, c, ["memory://dp"], OUT)
+        shas.append(sorted(b["sha256"] for b in plan(OUT)))
+    assert shas[0] == shas[1] and len(shas[0]) == 16
+
+
 def test_append_after_base_ttl_preserves_coarse_history(ray_session, cfg):
     """The standard downsample-and-keep-longer pattern: TTL evicts the
     base (1m) blocks, the coarse (1h) blocks survive. A later append

@@ -58,22 +58,6 @@ def test_sequences_from_documents():
     assert seq["source"].to_pylist() == [canon["source"][i].as_py() for i in idx]
 
 
-def test_stage_metrics(ray_session):
-    import ray.data
-
-    from beamium_ray.pipelines.rollup_pipeline import stage_metrics
-
-    batch = make_chunk(0, 10000)
-    m = stage_metrics(ray.data.from_arrow(batch).repartition(4), EngineConfig())
-    assert m["rows_in"] == 10000
-    assert m["rows_out"] == 10000 - m["inf_nan"]
-    assert m["inf_nan"] > 0  # seeded 1/200 NaN/Inf fixtures present
-    assert m["bad_class"] == 0 and m["no_value"] == 0
-    # matches what the pipeline actually keeps
-    out = DeriveParseRelabel(EngineConfig(), mode="lines")(batch)
-    assert out.num_rows == m["rows_out"]
-
-
 def test_flagship_e2e(ray_session):
     import ray.data
 
@@ -127,8 +111,38 @@ def test_metrics_actor_in_pipeline(ray_session):
         m = read_and_drop(name)
         assert m["rows_in"] == 12000
         assert m["rows_out"] == n_out > 0
+        # the derived lines are well-formed: only the seeded 1/200
+        # NaN/Inf fixtures drop at the parse
+        assert m["bad_class"] == 0 and m["no_value"] == 0
         if not cfg.metrics_whitelist:
             assert m["inf_nan"] == 12000 - n_out > 0
         # actor is gone after read_and_drop
         assert read_and_drop(name) == {}
         del actor
+
+
+def test_flagship_stage_metrics_reads_the_counter_actor(
+    ray_session, tmp_path, monkeypatch
+):
+    """The gate's T5 entry reports the counter actor's totals — the
+    numbers ``run`` prints — not a second counting pass."""
+    import pyarrow.parquet as pq
+
+    import beamium_ray.state.metrics as metrics
+    from beamium_ray.queries import flagship_stage_metrics
+
+    pq.write_table(
+        pa.table({"doc_id": pa.array(np.arange(3000), pa.int64())}),
+        tmp_path / "documents.parquet",
+    )
+    read = []
+    real = metrics.read_and_drop
+    monkeypatch.setattr(
+        metrics, "read_and_drop", lambda name: read.append(real(name)) or read[-1]
+    )
+    row = flagship_stage_metrics(str(tmp_path)).to_pylist()
+    assert len(read) == 1
+    want = {k: read[0][k] for k in ("rows_in", "rows_out", "inf_nan")}
+    assert row == [want]
+    assert want["rows_in"] == 3000
+    assert want["rows_out"] == 3000 - want["inf_nan"] and want["inf_nan"] > 0
