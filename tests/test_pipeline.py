@@ -58,6 +58,35 @@ def test_sequences_from_documents():
     assert seq["source"].to_pylist() == [canon["source"][i].as_py() for i in idx]
 
 
+def test_stage_metrics(ray_session):
+    """The stage's counters, read from the counter actor, account for
+    every input row and agree with what the derive/parse stage keeps."""
+    import ray.data
+
+    from beamium_ray.pipelines.rollup_pipeline import datapoints
+    from beamium_ray.state.metrics import get_or_create, read_and_drop
+
+    batch = make_chunk(0, 10000)
+    name = "test-stage-metrics"
+    actor = get_or_create(name)  # driver-owned; handle must stay live
+    dp = datapoints(
+        ray.data.from_arrow(batch).repartition(4),
+        EngineConfig(),
+        mode="lines",
+        metrics_actor=name,
+    )
+    n_out = dp.count()
+    m = read_and_drop(name)
+    del actor
+    assert m["rows_in"] == 10000
+    assert m["rows_out"] == 10000 - m["inf_nan"] == n_out
+    assert m["inf_nan"] > 0  # seeded 1/200 NaN/Inf fixtures present
+    assert m["bad_class"] == 0 and m["no_value"] == 0
+    # matches what the pipeline actually keeps
+    out = DeriveParseRelabel(EngineConfig(), mode="lines")(batch)
+    assert out.num_rows == m["rows_out"]
+
+
 def test_flagship_e2e(ray_session):
     import ray.data
 
@@ -111,9 +140,6 @@ def test_metrics_actor_in_pipeline(ray_session):
         m = read_and_drop(name)
         assert m["rows_in"] == 12000
         assert m["rows_out"] == n_out > 0
-        # the derived lines are well-formed: only the seeded 1/200
-        # NaN/Inf fixtures drop at the parse
-        assert m["bad_class"] == 0 and m["no_value"] == 0
         if not cfg.metrics_whitelist:
             assert m["inf_nan"] == 12000 - n_out > 0
         # actor is gone after read_and_drop
