@@ -2,8 +2,9 @@
 
 Ray-Data re-expression of the reference lifecycle (SURVEY.md §3):
 
-    read_parquet(tokenized sequences)                 # scrape fetch S1-S3
-      → map_batches(derive + parse + relabel + filter)  # P1-P8 fused
+    read_sequences(tokenized sequences)               # scrape fetch S1-S3
+      → map_batches(derive + parse + relabel + filter)  # P1-P8, fused
+                                                      # with the read
       → [token payload rides along]                   # router forward path
       → rollup_dataset(narrow projection)             # the engine's new
                                                       # wide operator (§2.4)

@@ -71,14 +71,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.input or not args.output:
         ap.error("--input and --output are required (unless --check)")
 
-    import ray
-
     from beamium_ray.cli import ray_session
 
     with ray_session(args.num_cpus):
         from beamium_ray.config import EngineConfig
         from beamium_ray.pipelines.persist import rollup_to_blocks
         from beamium_ray.pipelines.rollup_pipeline import datapoints
+        from beamium_ray.sources.tokens import read_sequences
         from beamium_ray.state.retention import retain_after_commit
 
         cfg = (
@@ -94,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             # driver-owned; the HANDLE must stay referenced or the named
             # actor is refcounted away before workers flush to it
             metrics_handle = get_or_create(metrics_name)
-        seq = ray.data.read_parquet(args.input, columns=["doc_id", "n_tok", "source"])
+        seq = read_sequences(args.input, columns=["doc_id", "n_tok", "source"])
         dp = datapoints(
             seq, cfg, mode=args.mode,
             metrics_actor=None if args.no_metrics else metrics_name,

@@ -21,6 +21,17 @@ import pyarrow as pa
 READ_TASK_BYTES = 1 << 19
 
 
+def file_read_blocks(n_files: int) -> int:
+    """Read blocks for a table of ``n_files`` files: one per file, and
+    more (Ray splits a file's output) only to give every CPU a block.
+    Ray's default cuts each file into many small blocks, which keeps the
+    read from fusing with the map after it and runs that map as many
+    small tasks, each paying the kernels' fixed cost."""
+    from beamium_ray.functions.cluster import cluster_cpus
+
+    return max(n_files, cluster_cpus())
+
+
 def read_metric_lines(paths: str | list[str], file_extension: str | None = "metrics"):
     """Dataset with a ``line`` column from ``*.metrics`` text files.
 

@@ -106,9 +106,33 @@ def generate_dataset(
     ]
 
 
+def _count_files(paths: str | list[str]) -> int:
+    """Files a parquet read of ``paths`` lists: a directory counts its
+    files (recursively, skipping ``.``/``_`` names as Ray does), any
+    other path counts one."""
+    n = 0
+    for p in [paths] if isinstance(paths, str) else paths:
+        if os.path.isdir(p):
+            n += sum(
+                not f.startswith((".", "_"))
+                for _, _, names in os.walk(p)
+                for f in names
+            )
+        else:
+            n += 1
+    return n
+
+
 def read_sequences(paths: str | list[str], columns: list[str] | None = None):
     """Bounded source: read the tokenized-sequence table as a Dataset
-    (replaces the reference's HTTP scrape + dir scan, SURVEY.md S1-S3)."""
+    (replaces the reference's HTTP scrape + dir scan, SURVEY.md S1-S3).
+    One block per file (``sources.lines.file_read_blocks``), so the
+    read fuses with the derive/parse/combiner map that follows."""
     import ray.data
 
-    return ray.data.read_parquet(paths, columns=columns)
+    from beamium_ray.sources.lines import file_read_blocks
+
+    return ray.data.read_parquet(
+        paths, columns=columns,
+        override_num_blocks=file_read_blocks(_count_files(paths)),
+    )

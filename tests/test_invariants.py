@@ -5,6 +5,7 @@ scanning its source text: no Ray, milliseconds."""
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 
@@ -35,6 +36,17 @@ def test_filters_run_only_through_the_router(needle):
 @pytest.mark.parametrize("needle", ['get("blocks")', '["blocks"]', '"_manifests"'])
 def test_block_lists_only_in_the_store(needle):
     assert _files_with(needle) == ["state/manifest.py"]
+
+
+def test_one_sequence_source():
+    # the tokenized-sequence table is read only by sources.tokens
+    # .read_sequences, which sizes the read to fuse with the map
+    call = re.compile(r'read_parquet\((?:[^()]|\([^()]*\))*"n_tok"')
+    assert {
+        str(p.relative_to(PKG))
+        for p in PKG.rglob("*.py")
+        if call.search(p.read_text())
+    } <= {"sources/tokens.py"}
 
 
 def test_one_bucket_shuffle():

@@ -8,6 +8,7 @@ order-insensitive value hash). Usage:
 from __future__ import annotations
 
 import hashlib
+import pathlib
 import sys
 
 import duckdb
@@ -58,7 +59,8 @@ def main():
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout that holds this script, so a copy gates its own engine
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     import __ray_entry__ as e
 
     qs, oracles = e.queries(), e.oracle_sql()
