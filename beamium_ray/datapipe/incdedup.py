@@ -4,9 +4,9 @@ re-shingling the committed corpus (the watch-mode companion of
 :func:`dedup.minhash_dedup` — reference daemons ingest forever, so the
 index must outlive a tick).
 
-Store layout under ``store_dir`` (every file tmp+renamed; the manifest
-rename is the ONLY pointer switch, matching the engine's block/manifest
-invariant):
+Store layout under ``store_dir`` (the tick store,
+:class:`state.storegc.TickStore`: every file tmp+renamed, the manifest
+rename is the ONLY pointer switch):
 
 - ``bands/bkt=<band_hash % B>/tick-<n>.parquet`` — (band, band_hash,
   doc_id) LSH index rows, hash-bucketed so a tick reads only the
@@ -17,8 +17,8 @@ invariant):
 - ``assign/assign-<n>/`` — the full (doc_id, cluster) table, rewritten
   per tick as a Ray pass (cluster merges relabel via a tiny broadcast
   root-remap, never per-row Python);
-- ``assign/MANIFEST.json`` — {tick, assign dir}; promoted LAST, so a
-  crashed tick is invisible and a replay overwrites the same
+- the ``assign/`` manifest — {tick, assign dir, last_batch}; promoted
+  LAST, so a crashed tick is invisible and a replay overwrites the same
   deterministic tick-<n> files idempotently.
 
 Per-tick cost ∝ new docs (shingling, distributed) + the stored index
@@ -35,42 +35,15 @@ committed members of every absorbed cluster.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from beamium_ray.functions.cluster import bucket_apply
 from beamium_ray.functions.hashing import splitmix64
-
-
-def _atomic_write_table(t: pa.Table, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-
-
-def _committed_files(d: str, before_tick: int) -> list[str]:
-    """Store files in partition dir ``d`` written by ticks STRICTLY
-    BEFORE ``before_tick``. The manifest rename is the only commit
-    point, so a tick that crashed after its store writes leaves
-    ``tick-<before_tick>`` files on disk; a replay must not read them
-    back as committed state (the distributed minhash route tags rows
-    old/new by FILE origin, and a new doc's stale copy tagged old
-    would let its candidate pairs be dropped as old-old)."""
-    from beamium_ray.state.storegc import parse_ticks
-
-    out: list[str] = []
-    for f in sorted(os.listdir(d)):
-        rng = parse_ticks(f)
-        if rng is not None and rng[1] < before_tick:
-            out.append(os.path.join(d, f))
-    return out
+from beamium_ray.state.storegc import TickStore
 
 
 class _IncrementalDedupBase:
@@ -86,41 +59,27 @@ class _IncrementalDedupBase:
     bounds every sink dir with TTL + size-cap retention
     (src/sink.rs:102-221) and these stores need the same."""
 
-    # subclasses: store subdir roots swept by retention/compaction; the
-    # subdir whose files carry ``id_col`` (drives assignment pruning);
-    # the subdir needing key-column compaction (vector payloads Arrow
-    # can't full-row group)
-    _GC_SUBDIRS: tuple[str, ...] = ()
+    # subclasses: partitioned store subdirs (subdir → partition key);
+    # the subdir whose files carry ``id_col`` (drives assignment
+    # pruning); the subdir needing key-column compaction (vector
+    # payloads Arrow can't full-row group)
+    _PARTS: dict[str, str] = {}
     _GC_ID_SUBDIR: str | None = None
     _GC_VEC_SUBDIR: str | None = None
 
     def __init__(self, store_dir: str, id_col: str):
         self.dir = store_dir
         self.id_col = id_col
-        os.makedirs(os.path.join(store_dir, "assign"), exist_ok=True)
+        self.store = TickStore(store_dir, "assign", self._PARTS, ("assign",))
 
     # -- manifest ---------------------------------------------------------
     @property
     def _manifest_path(self) -> str:
-        return os.path.join(self.dir, "assign", "MANIFEST.json")
-
-    def _manifest(self) -> dict:
-        try:
-            with open(self._manifest_path) as f:
-                return json.load(f)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {"tick": 0, "assign": None}
+        return self.store.manifest_path
 
     def assignments(self):
         """Current full (id, cluster) Dataset (None before tick 1)."""
-        import ray.data
-
-        man = self._manifest()
-        if man["assign"] is None:
-            return None
-        return ray.data.read_parquet(
-            os.path.join(self.dir, "assign", man["assign"])
-        )
+        return self.store.dataset("assign")
 
     # -- store lifecycle ---------------------------------------------------
     def retention(
@@ -153,40 +112,14 @@ class _IncrementalDedupBase:
         Returns counters {files_deleted, bytes_deleted, ticks_dropped,
         ids_pruned} (the reference's ``beamium_skip_ttl`` /
         ``beamium_skip_max_size`` analogs)."""
-        from beamium_ray.state import storegc
-
-        man = self._manifest()
-        files = storegc.scan(
-            [os.path.join(self.dir, s) for s in self._GC_SUBDIRS]
+        prune = prune_assignments and self._GC_ID_SUBDIR is not None
+        counters, expired_ids = self.store.expire(
+            max_ticks, ttl_seconds, max_bytes, now,
+            ids=(self._GC_ID_SUBDIR, self.id_col) if prune else None,
         )
-        drop = storegc.select_expired(
-            files, man["tick"], max_ticks, ttl_seconds, max_bytes, now
-        )
-        expired_ids = np.zeros(0, np.int64)
-        if prune_assignments and self._GC_ID_SUBDIR is not None and drop:
-            marker = os.sep + self._GC_ID_SUBDIR + os.sep
-            parts = [
-                pq.read_table(f["path"], columns=[self.id_col])[
-                    self.id_col
-                ].to_numpy()
-                for f in drop
-                if marker in f["path"]
-            ]
-            if parts:
-                expired_ids = np.unique(
-                    np.concatenate(parts).astype(np.int64)
-                )
-        n_bytes = sum(f["size"] for f in drop)
-        for f in drop:
-            os.remove(f["path"])
         if len(expired_ids):
             self._prune_assignments(expired_ids)
-        return {
-            "files_deleted": len(drop),
-            "bytes_deleted": n_bytes,
-            "ticks_dropped": sorted({f["hi"] for f in drop}),
-            "ids_pruned": int(len(expired_ids)),
-        }
+        return {**counters, "ids_pruned": int(len(expired_ids))}
 
     def compact(self) -> int:
         """Merge each store partition's tick files into one
@@ -196,38 +129,19 @@ class _IncrementalDedupBase:
         tick's files must keep their ``tick-<n>`` names so the replay
         overwrite (and any sweep) still reaches them. Returns the
         number of files merged away."""
-        from beamium_ray.state import storegc
-
-        man = self._manifest()
-        n = 0
-        for s in self._GC_SUBDIRS:
-            root = os.path.join(self.dir, s)
-            if not os.path.isdir(root):
-                continue
-            keys = [self.id_col] if s == self._GC_VEC_SUBDIR else None
-            for part in sorted(os.listdir(root)):
-                d = os.path.join(root, part)
-                if os.path.isdir(d):
-                    n += storegc.compact_dir(d, keys, max_hi=man["tick"])
-        return n
+        return self.store.compact(
+            key_cols={self._GC_VEC_SUBDIR: [self.id_col]}
+        )
 
     def _prune_assignments(self, expired_ids: np.ndarray) -> None:
         """Drop the expired ids from the assignment table via a new
         generation + manifest-pointer switch (the tick commit
         protocol; superseded generations GC'd after the switch)."""
         import ray
-        import ray.data
 
         prev = self.assignments()
         if prev is None:
             return
-        man = self._manifest()
-        assign_name = f"assign-{man['tick']:05d}-gc"
-        if man["assign"] == assign_name:  # second sweep between ticks
-            assign_name += "b"
-        assign_dir = os.path.join(self.dir, "assign", assign_name)
-        if os.path.isdir(assign_dir):  # crashed-sweep replay
-            shutil.rmtree(assign_dir)
         ref = ray.put(np.sort(expired_ids))
         idc = self.id_col
 
@@ -241,35 +155,18 @@ class _IncrementalDedupBase:
             pos = np.clip(np.searchsorted(bad, ids), 0, len(bad) - 1)
             return t.filter(pa.array(bad[pos] != ids))
 
-        prev.map_batches(
-            drop_rows, batch_format="pyarrow", batch_size=None
-        ).write_parquet(assign_dir)
-
-        # a sweep that pruned EVERY row writes zero files — seed the
-        # generation with an empty same-schema file so the manifest
-        # never points at a parquet-less dir. Schema comes from the
-        # already-open `prev` Dataset (id type varies by store), not a
-        # re-glob of the old generation.
-        from beamium_ray.state.manifest import (
-            atomic_write_bytes,
-            ensure_parquet_dir,
-        )
-
+        # a sweep that pruned EVERY row writes zero files; the schema
+        # that seeds the generation comes from the already-open `prev`
+        # Dataset (id type varies by store), not a re-glob of the old
+        # generation
         psch = prev.schema()
-        ensure_parquet_dir(
-            assign_dir, pa.schema(list(zip(psch.names, psch.types)))
+        self.store.rewrite(
+            "assign",
+            prev.map_batches(
+                drop_rows, batch_format="pyarrow", batch_size=None
+            ).write_parquet,
+            pa.schema(list(zip(psch.names, psch.types))),
         )
-
-        atomic_write_bytes(
-            self._manifest_path,
-            json.dumps(
-                {**man, "assign": assign_name}, sort_keys=True
-            ).encode(),
-        )
-        base = os.path.join(self.dir, "assign")
-        for d in os.listdir(base):
-            if d.startswith("assign-") and d != assign_name:
-                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
 
     # -- shared commit -----------------------------------------------------
     def _commit_tick(
@@ -360,10 +257,6 @@ class _IncrementalDedupBase:
             }
         )
 
-        assign_name = f"assign-{tick:05d}"
-        assign_dir = os.path.join(self.dir, "assign", assign_name)
-        if os.path.isdir(assign_dir):  # crashed-tick replay
-            shutil.rmtree(assign_dir)
         if prev is not None:
             rref = ray.put(remap)
 
@@ -390,54 +283,18 @@ class _IncrementalDedupBase:
             ).union(ray.data.from_arrow(assign_new))
         else:
             full = ray.data.from_arrow(assign_new)
-        full.write_parquet(assign_dir)
-
-        # a crashed tick may have written store files for a DIFFERENT
-        # batch under this tick number (the watcher contract replays
-        # the SAME batch, but an operator following the watch abort's
-        # "move the files aside" remediation feeds a different one):
-        # sweep every tick-<tick> store file first, like the span
-        # store, so stale partitions the new batch does not touch
-        # can't outlive the batch that wrote them and look committed
-        # to future ticks (ghost band/doc/cell rows).
-        stale = f"tick-{tick:05d}.parquet"
-        for sub in self._GC_SUBDIRS:
-            root = os.path.join(self.dir, sub)
-            if not os.path.isdir(root):
-                continue
-            for d in os.listdir(root):
-                p = os.path.join(root, d, stale)
-                if os.path.isfile(p):
-                    os.remove(p)
-
+        assign_name = f"assign-{tick:05d}"
+        self.store.generation(assign_name, full.write_parquet)
+        self.store.sweep(tick)
         write_store(tick)
-
-        from beamium_ray.state.manifest import atomic_write_bytes
-
-        atomic_write_bytes(
-            self._manifest_path,
-            json.dumps(
-                {
-                    "tick": tick,
-                    "assign": assign_name,
-                    "last_batch": batch_key,
-                },
-                sort_keys=True,
-            ).encode(),
+        self.store.commit(
+            {"tick": tick, "assign": assign_name, "last_batch": batch_key}
         )
-        # GC superseded assignment generations AFTER the pointer switch
-        # (a daemon runs forever; keeping every full table is O(ticks ×
-        # corpus) disk). Sweeping everything except the referenced dir
-        # also self-heals any generation a crash left behind.
-        base = os.path.join(self.dir, "assign")
-        for d in os.listdir(base):
-            if d.startswith("assign-") and d != assign_name:
-                shutil.rmtree(os.path.join(base, d), ignore_errors=True)
-        return ray.data.read_parquet(assign_dir)
+        return self.assignments()
 
 
 class IncrementalMinHashDedup(_IncrementalDedupBase):
-    _GC_SUBDIRS = ("bands", "docs")
+    _PARTS = {"bands": "bkt", "docs": "bkt"}
     _GC_ID_SUBDIR = "docs"
 
     def __init__(
@@ -473,45 +330,28 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         """Committed band rows in the touched hash buckets (narrow) —
         ticks strictly before ``before_tick`` only, so a crashed
         tick's replay never reads its own store writes back."""
-        empty = pa.table(
-            {
-                "band": pa.array([], pa.int32()),
-                "band_hash": pa.array([], pa.int64()),
-                self.id_col: pa.array([], pa.int64()),
-            }
+        return self.store.read(
+            "bands", buckets, before_tick,
+            pa.schema(
+                [
+                    ("band", pa.int32()),
+                    ("band_hash", pa.int64()),
+                    (self.id_col, pa.int64()),
+                ]
+            ),
         )
-        tables = [empty]
-        for b in sorted(buckets):
-            d = os.path.join(self.dir, "bands", f"bkt={b}")
-            if not os.path.isdir(d):
-                continue
-            for p in _committed_files(d, before_tick):
-                tables.append(pq.read_table(p))
-        return pa.concat_tables(tables)
 
     def _read_docs(self, ids: np.ndarray, before_tick: int) -> pa.Table:
         """(doc_id, text) of the requested COMMITTED docs — reads only
         the doc partitions those ids hash to, filtered."""
-        empty = pa.table(
-            {
-                self.id_col: pa.array([], pa.int64()),
-                self.text_col: pa.array([], pa.string()),
-            }
-        )
-        if len(ids) == 0:
-            return empty
         want = pa.array(np.unique(ids), pa.int64())
-        tables = [empty]
-        for b in sorted({int(i) % self.B for i in np.unique(ids)}):
-            d = os.path.join(self.dir, "docs", f"bkt={b}")
-            if not os.path.isdir(d):
-                continue
-            for p in _committed_files(d, before_tick):
-                t = pq.read_table(p)
-                tables.append(
-                    t.filter(pc.is_in(t[self.id_col], value_set=want))
-                )
-        return pa.concat_tables(tables)
+        return self.store.read(
+            "docs", {int(i) % self.B for i in want.to_pylist()}, before_tick,
+            pa.schema(
+                [(self.id_col, pa.int64()), (self.text_col, pa.string())]
+            ),
+            lambda t: t.filter(pc.is_in(t[self.id_col], value_set=want)),
+        )
 
     # -- one tick ----------------------------------------------------------
     def tick(
@@ -551,10 +391,9 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         (band, band_hash) candidate semantics, the same exact-Jaccard
         decision), so assignments are route-independent — enforced by
         the route-equality test in tests/test_incdedup.py."""
-        man = self._manifest()
-        if batch_key is not None and man.get("last_batch") == batch_key:
+        tick, replay = self.store.begin(batch_key)
+        if replay:
             return self.assignments()  # committed replay → no-op
-        tick = man["tick"] + 1
         mat = new_ds.materialize()
         n_new = mat.count()
         if n_new == 0:
@@ -668,22 +507,10 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             # upcasting the mix to float64).
             for b in sorted({int(h) % self.B for h in nh.tolist()}):
                 sel = (nh % np.uint64(self.B)).astype(np.int64) == b
-                _atomic_write_table(
-                    pa.table(
-                        {
-                            "band": new_rows["band"].filter(pa.array(sel)),
-                            "band_hash": new_rows["band_hash"].filter(
-                                pa.array(sel)
-                            ),
-                            self.id_col: new_rows[self.id_col].filter(
-                                pa.array(sel)
-                            ),
-                        }
-                    ),
-                    os.path.join(
-                        self.dir, "bands", f"bkt={b}",
-                        f"tick-{t:05d}.parquet",
-                    ),
+                self.store.write(
+                    "bands", b, t,
+                    new_rows.select(["band", "band_hash", self.id_col])
+                    .filter(pa.array(sel)),
                 )
             doc_t = pa.concat_tables(
                 list(
@@ -694,35 +521,13 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             d_ids = doc_t[self.id_col].to_numpy()
             for b in sorted({int(i) % self.B for i in d_ids.tolist()}):
                 sel = (d_ids % self.B) == b
-                _atomic_write_table(
-                    doc_t.filter(pa.array(sel)),
-                    os.path.join(
-                        self.dir, "docs", f"bkt={b}",
-                        f"tick-{t:05d}.parquet",
-                    ),
-                )
+                self.store.write("docs", b, t, doc_t.filter(pa.array(sel)))
 
         return self._commit_tick(
             tick, new_id_set, edges_a, edges_b, write_store, batch_key
         )
 
     # -- distributed mega-tick route ---------------------------------------
-    def _bucket_files(
-        self, sub: str, buckets, before_tick: int
-    ) -> list[str]:
-        """COMMITTED parquet files of the given store partitions
-        (bands/ or docs/) — ticks strictly before ``before_tick``. The
-        strict bound is load-bearing for the distributed route: its
-        old/new pair tag comes from file origin, so reading a crashed
-        tick's own files back as old would mis-tag a new doc's band
-        rows and let ``_new_touch`` drop real candidate pairs."""
-        out: list[str] = []
-        for b in sorted(buckets):
-            d = os.path.join(self.dir, sub, f"bkt={b}")
-            if os.path.isdir(d):
-                out.extend(_committed_files(d, before_tick))
-        return out
-
     def _tick_distributed(self, mat, tick: int, batch_key: str | None):
         """Mega-tick route: identical semantics to ``_tick_driver`` with
         every O(tick-size) term Dataset-resident. Candidate pairs come
@@ -786,7 +591,11 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         index = band_ds.map_batches(
             _flag(1), batch_format="pyarrow", batch_size=None
         )
-        old_files = self._bucket_files("bands", touched, tick)
+        # committed files only: the old/new pair tag comes from file
+        # origin, so a crashed tick's own files read back as old would
+        # mis-tag a new doc's band rows and let ``_new_touch`` drop
+        # real candidate pairs
+        old_files = self.store.files("bands", touched, tick)
         if old_files:
             index = index.union(
                 rd.read_parquet(old_files).map_batches(
@@ -839,7 +648,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
                 batch_format="pyarrow",
                 batch_size=None,
             )
-            doc_files = self._bucket_files("docs", doc_bkts, tick)
+            doc_files = self.store.files("docs", doc_bkts, tick)
             if doc_files:
                 payload = payload.union(rd.read_parquet(doc_files))
             pair_ab = pairs.map_batches(
@@ -894,8 +703,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         collection: one groupby(store-bucket) whose groups each write
         their single deterministic ``tick-<n>.parquet`` atomically (same
         names as the driver route — replay overwrites idempotently)."""
-        B, idc = self.B, self.id_col
-        base = os.path.join(self.dir, "bands")
+        B, idc, store = self.B, self.id_col, self.store
 
         def tag(t: pa.Table) -> pa.Table:
             h = t["band_hash"].to_numpy().astype(np.uint64)
@@ -903,10 +711,9 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             return t.append_column("sbkt", pa.array(sb, pa.int32()))
 
         def w(g: pa.Table) -> pa.Table:
-            bkt = int(g["sbkt"][0].as_py())
-            _atomic_write_table(
+            store.write(
+                "bands", int(g["sbkt"][0].as_py()), tick,
                 g.select(["band", "band_hash", idc]),
-                os.path.join(base, f"bkt={bkt}", f"tick-{tick:05d}.parquet"),
             )
             return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
@@ -917,8 +724,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         This is the ONE documented payload-bucketed shuffle of the
         route (its OUTPUT is the doc store itself, per the engine's
         payload-shuffle invariant)."""
-        B, idc, txc = self.B, self.id_col, self.text_col
-        base = os.path.join(self.dir, "docs")
+        B, idc, txc, store = self.B, self.id_col, self.text_col, self.store
 
         def tag(t: pa.Table) -> pa.Table:
             ids = t[idc].to_numpy().astype(np.int64)
@@ -931,10 +737,8 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             )
 
         def w(g: pa.Table) -> pa.Table:
-            bkt = int(g["sbkt"][0].as_py())
-            _atomic_write_table(
-                g.select([idc, txc]),
-                os.path.join(base, f"bkt={bkt}", f"tick-{tick:05d}.parquet"),
+            store.write(
+                "docs", int(g["sbkt"][0].as_py()), tick, g.select([idc, txc])
             )
             return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
@@ -959,7 +763,7 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
     Semantics match the one-shot :func:`dedup.semantic_dedup` under the
     same fixed centroids (equality pinned by the tests)."""
 
-    _GC_SUBDIRS = ("cells",)
+    _PARTS = {"cells": "cell"}
     _GC_ID_SUBDIR = "cells"
     _GC_VEC_SUBDIR = "cells"
 
@@ -1022,26 +826,14 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
     ) -> tuple[np.ndarray, np.ndarray]:
         """(ids, vectors) of the committed rows in the touched cells —
         ticks strictly before ``before_tick`` (crash-replay safe)."""
-        ids_parts: list[np.ndarray] = []
-        vec_parts: list[np.ndarray] = []
-        for c in sorted(cells):
-            d = os.path.join(self.dir, "cells", f"cell={c}")
-            if not os.path.isdir(d):
-                continue
-            for p in _committed_files(d, before_tick):
-                t = pq.read_table(p)
-                if t.num_rows:
-                    ids_parts.append(t[self.id_col].to_numpy())
-                    vec_parts.append(
-                        np.stack(
-                            t[self.vec_col].to_numpy(zero_copy_only=False)
-                        ).astype(np.float64)
-                    )
-        if not ids_parts:
+        t = self.store.read("cells", cells, before_tick)
+        if t is None or t.num_rows == 0:
             return np.zeros(0, np.int64), np.zeros((0, 0))
         return (
-            np.concatenate(ids_parts).astype(np.int64),
-            np.concatenate(vec_parts, axis=0),
+            t[self.id_col].to_numpy().astype(np.int64),
+            np.stack(t[self.vec_col].to_numpy(zero_copy_only=False)).astype(
+                np.float64
+            ),
         )
 
     def tick(self, new_ds, batch_key: str | None = None):
@@ -1050,10 +842,9 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
         from beamium_ray.datapipe.dedup import _segment_pair_indices
         from beamium_ray.datapipe.similarity import _nearest_centroid
 
-        man = self._manifest()
-        if batch_key is not None and man.get("last_batch") == batch_key:
+        tick, replay = self.store.begin(batch_key)
+        if replay:
             return self.assignments()  # committed replay → no-op
-        tick = man["tick"] + 1
         mat = new_ds.materialize()
         if mat.count() == 0:
             # empty batch → no-op (see the minhash tick: zero batches
@@ -1125,7 +916,8 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
         def write_store(tk: int) -> None:
             for c in sorted(set(cells.tolist())):
                 sel = cells == c
-                _atomic_write_table(
+                self.store.write(
+                    "cells", c, tk,
                     pa.table(
                         {
                             self.id_col: pa.array(n_ids[sel], pa.int64()),
@@ -1133,10 +925,6 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
                                 pa.array(sel)
                             ),
                         }
-                    ),
-                    os.path.join(
-                        self.dir, "cells", f"cell={c}",
-                        f"tick-{tk:05d}.parquet",
                     ),
                 )
 
@@ -1160,7 +948,7 @@ class IncrementalExactDedup(_IncrementalDedupBase):
     id, and run the shared committed-root merge. Same assignment/
     manifest semantics as the minhash store."""
 
-    _GC_SUBDIRS = ("hashes",)
+    _PARTS = {"hashes": "bkt"}
     _GC_ID_SUBDIR = "hashes"
 
     def __init__(
@@ -1180,21 +968,16 @@ class IncrementalExactDedup(_IncrementalDedupBase):
     ) -> pa.Table:
         """Committed (h1, h2, id) rows in the touched buckets — ticks
         strictly before ``before_tick`` (crash-replay safe)."""
-        empty = pa.table(
-            {
-                "h1": pa.array([], pa.int64()),
-                "h2": pa.array([], pa.int64()),
-                self.id_col: pa.array([], pa.int64()),
-            }
+        return self.store.read(
+            "hashes", buckets, before_tick,
+            pa.schema(
+                [
+                    ("h1", pa.int64()),
+                    ("h2", pa.int64()),
+                    (self.id_col, pa.int64()),
+                ]
+            ),
         )
-        tables = [empty]
-        for b in sorted(buckets):
-            d = os.path.join(self.dir, "hashes", f"bkt={b}")
-            if not os.path.isdir(d):
-                continue
-            for p in _committed_files(d, before_tick):
-                tables.append(pq.read_table(p))
-        return pa.concat_tables(tables)
 
     def tick(self, new_ds, batch_key: str | None = None):
         """Fold one batch of new documents in; returns the updated full
@@ -1202,10 +985,9 @@ class IncrementalExactDedup(_IncrementalDedupBase):
         docs, committed or new, with byte-identical text)."""
         from beamium_ray.functions.hashing import hash64
 
-        man = self._manifest()
-        if batch_key is not None and man.get("last_batch") == batch_key:
+        tick, replay = self.store.begin(batch_key)
+        if replay:
             return self.assignments()  # committed replay → no-op
-        tick = man["tick"] + 1
         mat = new_ds.materialize()
         if mat.count() == 0:
             return self.assignments()  # empty batch → no-op
@@ -1281,7 +1063,8 @@ class IncrementalExactDedup(_IncrementalDedupBase):
             rh1, rh2, rid = nh1[reps], nh2[reps], n_ids[reps]
             for b in sorted({int(h) % self.B for h in rh1.tolist()}):
                 sel = (rh1 % np.uint64(self.B)).astype(np.int64) == b
-                _atomic_write_table(
+                self.store.write(
+                    "hashes", b, t,
                     pa.table(
                         {
                             "h1": pa.array(
@@ -1292,10 +1075,6 @@ class IncrementalExactDedup(_IncrementalDedupBase):
                             ),
                             self.id_col: pa.array(rid[sel], pa.int64()),
                         }
-                    ),
-                    os.path.join(
-                        self.dir, "hashes", f"bkt={b}",
-                        f"tick-{t:05d}.parquet",
                     ),
                 )
 
@@ -1310,13 +1089,13 @@ class IncrementalSpanDedup:
     one-shot form). A daemon ingests forever; committed content must
     win against every later copy WITHOUT re-hashing the corpus.
 
-    Durable store under ``store_dir`` (tmp+rename files, manifest
-    pointer last — the family invariant):
+    Durable store under ``store_dir`` (the tick store: tmp+rename
+    files, manifest pointer last — the family invariant):
 
     - ``windows/bkt=<h1 % B>/tick-<n>.parquet`` — (h1, h2) of every
       DISTINCT committed window (~16 B each; no payload, no positions:
       membership is all a later tick needs);
-    - ``windows/MANIFEST.json`` — {tick, last_batch}.
+    - the ``windows/`` manifest — {tick, last_batch}.
 
     Per tick: window-hash the new batch (distributed map; tokens never
     leave the mappers), collect the narrow occurrence rows (the
@@ -1336,8 +1115,7 @@ class IncrementalSpanDedup:
     Replay: a ``batch_key`` matching the committed manifest re-runs
     with the SAME tick number, reading only store files from EARLIER
     ticks (its own tick's files are excluded), so the recomputed
-    output is byte-identical and the store writes overwrite
-    idempotently."""
+    output is byte-identical; the replay writes nothing."""
 
     def __init__(
         self,
@@ -1353,18 +1131,7 @@ class IncrementalSpanDedup:
         self.B = num_buckets
         self.list_col = list_col
         self.id_col = id_col
-        os.makedirs(os.path.join(store_dir, "windows"), exist_ok=True)
-
-    @property
-    def _manifest_path(self) -> str:
-        return os.path.join(self.dir, "windows", "MANIFEST.json")
-
-    def _manifest(self) -> dict:
-        try:
-            with open(self._manifest_path) as f:
-                return json.load(f)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {"tick": 0, "last_batch": None}
+        self.store = TickStore(store_dir, "windows", {"windows": "bkt"})
 
     def _read_windows(
         self, buckets: set[int], before_tick: int
@@ -1372,16 +1139,10 @@ class IncrementalSpanDedup:
         """(h1, h2) of stored windows in the touched buckets written by
         ticks STRICTLY BEFORE ``before_tick`` (excludes a crashed or
         replayed tick's own files)."""
-        parts = []
-        for b in sorted(buckets):
-            d = os.path.join(self.dir, "windows", f"bkt={b}")
-            if not os.path.isdir(d):
-                continue
-            for p in _committed_files(d, before_tick):
-                parts.append(pq.read_table(p))
-        if not parts:
-            return np.zeros(0, np.uint64), np.zeros(0, np.uint64)
-        t = pa.concat_tables(parts)
+        t = self.store.read(
+            "windows", buckets, before_tick,
+            pa.schema([("h1", pa.int64()), ("h2", pa.int64())]),
+        )
         return (
             t["h1"].to_numpy().astype(np.uint64),
             t["h2"].to_numpy().astype(np.uint64),
@@ -1399,21 +1160,7 @@ class IncrementalSpanDedup:
         _IncrementalDedupBase.retention — same semantics; this store
         has no assignment table to prune: expired windows simply stop
         marking spans in FUTURE ticks, the TTL'd-dedup contract)."""
-        from beamium_ray.state import storegc
-
-        man = self._manifest()
-        files = storegc.scan([os.path.join(self.dir, "windows")])
-        drop = storegc.select_expired(
-            files, man["tick"], max_ticks, ttl_seconds, max_bytes, now
-        )
-        n_bytes = sum(f["size"] for f in drop)
-        for f in drop:
-            os.remove(f["path"])
-        return {
-            "files_deleted": len(drop),
-            "bytes_deleted": n_bytes,
-            "ticks_dropped": sorted({f["hi"] for f in drop}),
-        }
+        return self.store.expire(max_ticks, ttl_seconds, max_bytes, now)[0]
 
     def compact(self) -> int:
         """Merge each bucket's tick files into one compact file
@@ -1425,16 +1172,7 @@ class IncrementalSpanDedup:
         file from the replay — the tick's own file must stay under its
         ``tick-<n>`` name until the NEXT tick commits (this also keeps
         a crashed uncommitted tick's files sweepable by name)."""
-        from beamium_ray.state import storegc
-
-        man = self._manifest()
-        root = os.path.join(self.dir, "windows")
-        n = 0
-        for part in sorted(os.listdir(root)):
-            d = os.path.join(root, part)
-            if os.path.isdir(d):
-                n += storegc.compact_dir(d, max_hi=man["tick"] - 1)
-        return n
+        return self.store.compact(lag=1)
 
     @staticmethod
     def _pair_hits(
@@ -1479,9 +1217,7 @@ class IncrementalSpanDedup:
         )
         from beamium_ray.functions.cluster import cached_stage
 
-        man = self._manifest()
-        replay = batch_key is not None and man.get("last_batch") == batch_key
-        tick = man["tick"] if replay else man["tick"] + 1
+        tick, replay = self.store.begin(batch_key)
         mat = new_ds.materialize()
         lc, ic, w = self.list_col, self.id_col, self.window
         if mat.count() == 0:
@@ -1547,18 +1283,7 @@ class IncrementalSpanDedup:
         )
 
         if not replay:
-            # a crashed tick may have committed files for a DIFFERENT
-            # batch under this tick number (the watcher contract feeds
-            # the same batch back, but defend anyway): sweep every
-            # tick-<n> file first so stale windows can't outlive the
-            # batch that wrote them and delete future content whose
-            # committed copy never shipped
-            wroot = os.path.join(self.dir, "windows")
-            stale = f"tick-{tick:05d}.parquet"
-            for d in os.listdir(wroot):
-                p = os.path.join(wroot, d, stale)
-                if d.startswith("bkt=") and os.path.exists(p):
-                    os.remove(p)
+            self.store.sweep(tick)
             # store grows by the batch's distinct windows NOT already
             # committed (O(distinct) forever)
             rep_idx = o[first]
@@ -1567,7 +1292,8 @@ class IncrementalSpanDedup:
             rbkt = (r1 % np.uint64(self.B)).astype(np.int64)
             for b in sorted(set(rbkt.tolist())):
                 sel = rbkt == b
-                _atomic_write_table(
+                self.store.write(
+                    "windows", b, tick,
                     pa.table(
                         {
                             "h1": pa.array(
@@ -1578,17 +1304,6 @@ class IncrementalSpanDedup:
                             ),
                         }
                     ),
-                    os.path.join(
-                        self.dir, "windows", f"bkt={b}",
-                        f"tick-{tick:05d}.parquet",
-                    ),
                 )
-            from beamium_ray.state.manifest import atomic_write_bytes
-
-            atomic_write_bytes(
-                self._manifest_path,
-                json.dumps(
-                    {"tick": tick, "last_batch": batch_key}, sort_keys=True
-                ).encode(),
-            )
+            self.store.commit({"tick": tick, "last_batch": batch_key})
         return cleaned

@@ -16,9 +16,33 @@ where the cluster is already up).
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
+
+
+def _input_files(inp: str) -> list[str]:
+    """The concrete parquet files behind ``--input`` (a dir, a glob or
+    one file): the run reads and fingerprints this same list. A dir is
+    searched recursively, as ``read_parquet`` descends; a glob is
+    expanded, so its fingerprint changes when it matches other files."""
+    if os.path.isdir(inp):
+        return sorted(
+            glob.glob(os.path.join(inp, "**", "*.parquet"), recursive=True)
+        )
+    if any(ch in inp for ch in "*?["):
+        return sorted(glob.glob(inp, recursive=True))
+    return [inp]
+
+
+def _input_error(inp: str) -> str | None:
+    """Why ``--input`` cannot be read, in one line, or None."""
+    if not any(ch in inp for ch in "*?[") and not os.path.exists(inp):
+        return f"input path does not exist: {inp}"
+    if not _input_files(inp):
+        return f"input matches no parquet file: {inp}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,9 +82,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"configuration error: {ex}", file=sys.stderr)
             return 1
         errors = validate_engine_config(cfg)
-        if args.input and not any(ch in args.input for ch in "*?[") \
-                and not os.path.exists(args.input):
-            errors.append(f"input path does not exist: {args.input}")
+        if args.input and (err := _input_error(args.input)):
+            errors.append(err)
         for e in errors:
             print(f"configuration error: {e}", file=sys.stderr)
         if errors:
@@ -70,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.input or not args.output:
         ap.error("--input and --output are required (unless --check)")
+    err = _input_error(args.input)
+    if err:
+        print(err, file=sys.stderr)
+        return 1
+    paths = _input_files(args.input)
 
     from beamium_ray.cli import ray_session
 
@@ -93,27 +121,11 @@ def main(argv: list[str] | None = None) -> int:
             # driver-owned; the HANDLE must stay referenced or the named
             # actor is refcounted away before workers flush to it
             metrics_handle = get_or_create(metrics_name)
-        seq = read_sequences(args.input, columns=["doc_id", "n_tok", "source"])
+        seq = read_sequences(paths, columns=["doc_id", "n_tok", "source"])
         dp = datapoints(
             seq, cfg, mode=args.mode,
             metrics_actor=None if args.no_metrics else metrics_name,
         )
-        import glob
-
-        if os.path.isdir(args.input):
-            paths = sorted(
-                glob.glob(
-                    os.path.join(args.input, "**", "*.parquet"), recursive=True
-                )
-            )
-        elif any(ch in args.input for ch in "*?["):
-            # expand glob inputs to the CONCRETE file list: fingerprinting
-            # the literal glob string would reuse a stale fingerprint when
-            # the glob matches a different file set (ADVICE r1)
-            paths = sorted(glob.glob(args.input, recursive=True))
-        else:
-            paths = [args.input]
-        # recursive: read_parquet descends, so the fingerprint must too
         if args.append:
             from beamium_ray.pipelines.persist import append_rollup
 

@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
             # (e.g. a zero-row first batch): 0, not a crash that would
             # wedge the pending record permanently
             run["assignments"] = 0 if out is None else out.count()
-        run["store_tick"] = dd._manifest().get("tick")
+        run["store_tick"] = dd.store.committed_tick()
         return run
 
     w = DirectoryWatcher(
@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.store_ttl_ticks is not None:
             gc = dd.retention(max_ticks=args.store_ttl_ticks)
             skip_totals["files_ttl_evicted"] += gc.get("files_deleted", 0)
-        tick_no = dd._manifest().get("tick") or 0
+        tick_no = dd.store.committed_tick()
         if args.compact_every and tick_no and (
             tick_no % args.compact_every == 0
         ):

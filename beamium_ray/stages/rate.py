@@ -677,7 +677,7 @@ class IncrementalRate:
 
     def __init__(self, store_dir: str, tiers: dict[str, int],
                  num_buckets: int = 64, keep_outputs: int | None = None):
-        import os
+        from beamium_ray.state.storegc import TickStore
 
         self.dir = store_dir
         self.tiers = dict(tiers)
@@ -691,38 +691,15 @@ class IncrementalRate:
         self.keep_outputs = (
             None if keep_outputs is None else max(1, int(keep_outputs))
         )
-        os.makedirs(store_dir, exist_ok=True)
-
-    @property
-    def _manifest_path(self) -> str:
-        import os
-
-        return os.path.join(self.dir, "MANIFEST.json")
+        self.store = TickStore(store_dir, gens=("state", "out"))
 
     def _manifest(self) -> dict:
-        import json
-
-        try:
-            with open(self._manifest_path) as f:
-                return json.load(f)
-        except (FileNotFoundError, ValueError):
-            return {"tick": 0, "state": None, "out": None,
-                    "last_batch": None}
-
-    def _read_dir(self, name: str):
-        import os
-
-        import ray.data
-
-        return ray.data.read_parquet(os.path.join(self.dir, name))
+        return self.store.manifest()
 
     def state_points(self):
         """Stored last points as a (series_key, ts, value, order)
         Dataset, or None before the first tick."""
-        man = self._manifest()
-        if man["state"] is None:
-            return None
-        return self._read_dir(man["state"])
+        return self.store.dataset("state")
 
     def retention(self, *, max_age_us: int, now_us: int) -> dict:
         """Drop DEAD series from the last-point store: any series whose
@@ -735,61 +712,30 @@ class IncrementalRate:
         Commit = the tick protocol: filtered state written to a new
         ``state-<tick>-gc`` generation, manifest pointer switched,
         superseded generations GC'd after. Run between ticks."""
-        import json
-        import os
-        import shutil
-
-        from beamium_ray.state.manifest import (
-            atomic_write_bytes,
-            ensure_parquet_dir,
-        )
-
-        man = self._manifest()
-        if man["state"] is None:
-            return {"series_pruned": 0}
         prev = self.state_points()
+        if prev is None:
+            return {"series_pruned": 0}
         cutoff = int(now_us) - int(max_age_us)
-        state_name = man["state"].split("-gc")[0] + "-gc"
-        if man["state"] == state_name:  # second sweep between ticks
-            state_name += "b"
-        p = os.path.join(self.dir, state_name)
-        if os.path.isdir(p):  # crashed-sweep replay
-            shutil.rmtree(p)
         n_before = prev.count()
         kept = prev.map_batches(
             lambda t: t.filter(pc.greater_equal(t["ts"], cutoff)),
             batch_format="pyarrow",
             batch_size=None,
         ).materialize()
-        kept.write_parquet(p)
-        ensure_parquet_dir(p, _STATE_SCHEMA)
-        atomic_write_bytes(
-            self._manifest_path,
-            json.dumps({**man, "state": state_name}, sort_keys=True).encode(),
+        self.store.rewrite(
+            "state", kept.write_parquet, _STATE_SCHEMA,
+            retain=lambda d: d.startswith("out-"),
         )
-        for d in os.listdir(self.dir):
-            if d.startswith("state-") and d != state_name:
-                shutil.rmtree(os.path.join(self.dir, d), ignore_errors=True)
         return {"series_pruned": int(n_before - kept.count())}
 
     def tick(self, points_ds, batch_key: str | None = None):
         """Process one tick of (series_key, ts, value, order) points;
         returns the tick's PARTIAL increase rows as a Dataset."""
-        import json
-        import os
-        import shutil
+        import logging
 
-        import ray.data
-
-        from beamium_ray.state.manifest import (
-            atomic_write_bytes,
-            ensure_parquet_dir,
-        )
-
-        man = self._manifest()
-        if batch_key is not None and man.get("last_batch") == batch_key:
-            return self._read_dir(man["out"])  # replayed-after-commit
-        tick = man["tick"] + 1
+        tick, replay = self.store.begin(batch_key)
+        if replay:
+            return self.store.dataset("out")  # replayed-after-commit
 
         prev = self.state_points()
         src = points_ds if prev is None else points_ds.union(prev)
@@ -797,12 +743,6 @@ class IncrementalRate:
             src, self.tiers, order_col="order",
             num_buckets=self.num_buckets, emit_state=True,
         ).materialize()  # split consumes it twice
-
-        state_name, out_name = f"state-{tick:05d}", f"out-{tick:05d}"
-        for name in (state_name, out_name):
-            p = os.path.join(self.dir, name)
-            if os.path.isdir(p):  # crashed-tick replay
-                shutil.rmtree(p)
 
         def pick_state(t: pa.Table) -> pa.Table:
             t = t.filter(pc.equal(t["tier"], _STATE_TIER))
@@ -818,57 +758,40 @@ class IncrementalRate:
         def pick_out(t: pa.Table) -> pa.Table:
             return t.filter(pc.not_equal(t["tier"], _STATE_TIER))
 
-        rolled.map_batches(
-            pick_state, batch_format="pyarrow", batch_size=None
-        ).write_parquet(os.path.join(self.dir, state_name))
-        rolled.map_batches(
-            pick_out, batch_format="pyarrow", batch_size=None
-        ).write_parquet(os.path.join(self.dir, out_name))
         # Ray's write_parquet of a ZERO-row dataset writes no files and
-        # no directory — but the manifest must never point at a missing
-        # generation (the engine's manifest-after-blocks invariant). An
-        # all-single-sample tick (no deltas) or an empty landed batch is
-        # a legitimate tick; land a schema-typed empty file instead.
-        ensure_parquet_dir(os.path.join(self.dir, state_name), _STATE_SCHEMA)
-        ensure_parquet_dir(
-            os.path.join(self.dir, out_name), _empty_increase_table().schema
-        )
-
-        atomic_write_bytes(
-            self._manifest_path,
-            json.dumps(
-                {"tick": tick, "state": state_name, "out": out_name,
-                 "last_batch": batch_key},
-                sort_keys=True,
-            ).encode(),
-        )
-        # GC AFTER the pointer switch: superseded state generations go
-        # immediately. out-<tick> deliverables are only reclaimed when
-        # the caller declared its consumption lag via ``keep_outputs``
-        # (a consumer may still hold a LAZY Dataset over an older
-        # tick's output — deleting under it is data loss, so the
-        # default keeps everything and reclamation is logged).
-        keep_outs = (
-            None
-            if self.keep_outputs is None
-            else {
-                f"out-{t:05d}"
-                for t in range(tick - self.keep_outputs + 1, tick + 1)
-            }
-        )
-        for d in os.listdir(self.dir):
-            if d.startswith("state-") and d != state_name:
-                shutil.rmtree(os.path.join(self.dir, d), ignore_errors=True)
-            elif (
-                keep_outs is not None
-                and d.startswith("out-")
-                and d not in keep_outs
-            ):
-                import logging
-
+        # no directory: an all-single-sample tick (no deltas) or an
+        # empty landed batch is a legitimate tick, so both generations
+        # are seeded with their schema
+        state_name, out_name = f"state-{tick:05d}", f"out-{tick:05d}"
+        for name, pick, schema in (
+            (state_name, pick_state, _STATE_SCHEMA),
+            (out_name, pick_out, _empty_increase_table().schema),
+        ):
+            self.store.generation(
+                name,
+                rolled.map_batches(
+                    pick, batch_format="pyarrow", batch_size=None
+                ).write_parquet,
+                schema,
+            )
+        # superseded state generations go right after the switch;
+        # out-<tick> deliverables only when the caller declared its
+        # consumption lag via ``keep_outputs`` (a consumer may still
+        # hold a LAZY Dataset over an older tick's output — deleting
+        # under it is data loss, so the default keeps everything and
+        # reclamation is logged)
+        keep = None if self.keep_outputs is None else {
+            f"out-{t:05d}"
+            for t in range(tick - self.keep_outputs + 1, tick + 1)
+        }
+        for d in self.store.commit(
+            {"tick": tick, "state": state_name, "out": out_name,
+             "last_batch": batch_key},
+            lambda d: d.startswith("out-") and (keep is None or d in keep),
+        ):
+            if d.startswith("out-"):
                 logging.getLogger("beamium_ray.rate").info(
                     "IncrementalRate: reclaiming delivered output %s "
                     "(keep_outputs=%d)", d, self.keep_outputs,
                 )
-                shutil.rmtree(os.path.join(self.dir, d), ignore_errors=True)
-        return self._read_dir(out_name)
+        return self.store.dataset("out")

@@ -1,12 +1,36 @@
-"""Retention + compaction for the incremental dedup/rate stores.
+"""The tick store: the one on-disk contract of the incremental stores
+(the four dedup stores in ``datapipe/incdedup.py`` and
+``stages/rate.py:IncrementalRate``). Each store describes its
+partitions and generations to a :class:`TickStore`; the decisions
+below live only here.
 
-The reference daemon bounds every sink directory with a TTL (delete
-files whose mtime age exceeds ``ttl``) and a size cap (delete OLDEST
-files until the directory fits) — ``/root/reference/src/sink.rs:102-221``.
-The incremental stores here (``bands/ docs/ hashes/ cells/ windows/``
-under a store dir, one ``tick-<n>.parquet`` per (partition, tick)) grow
-O(ever-seen corpus) without the same bound; this module re-expresses
-that retention at store-partition granularity:
+Layout under a store dir (every file tmp+renamed):
+
+- ``<sub>/<key>=<part>/tick-<n>.parquet`` — what tick ``n`` appended to
+  one partition of a partitioned subdir (``bands/ docs/ hashes/ cells/
+  windows/``), and ``compact-<lo>-<hi>.parquet`` once compacted;
+- ``<meta>/<gen>-<n>[-gc[b]]/`` — generation dirs, each a whole table
+  rewritten per tick or per sweep (``assign-``, ``state-``, ``out-``);
+- ``<meta>/MANIFEST.json`` — {tick, last_batch, <gen>: <dir>}. Its
+  rename is the ONLY pointer switch: a tick writes its partition files
+  and generations first, commits the manifest LAST, and only then
+  removes superseded generations. A crashed tick is invisible, and its
+  replay overwrites the same deterministic names.
+
+Reads of committed partitions take files of ticks STRICTLY BEFORE the
+reading tick, so a replay never reads its own crashed writes back. A
+tick first sweeps every partition's ``tick-<n>`` file, so a crashed
+attempt's files for a different batch cannot outlive it. A missing
+manifest is a fresh store; one that exists but does not parse raises
+before anything is written or deleted (read as a fresh store, the next
+tick's sweep and generation GC would delete the store's history).
+
+**Retention.** The reference daemon bounds every sink directory with
+a TTL (delete files whose mtime age exceeds ``ttl``) and a size cap
+(delete OLDEST files until the directory fits), ``src/sink.rs:102-221``.
+The partitioned subdirs grow O(ever-seen corpus) without the same
+bound; this module re-expresses that retention at store-partition
+granularity:
 
 - **TTL** — either reference-parity wall-clock (``ttl_seconds`` vs file
   mtime) or deterministic **tick-age** (``max_ticks`` vs the tick number
@@ -49,9 +73,16 @@ index row; the next sweep re-prunes), never the reverse.
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import shutil
 import time
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 _TICK_RE = re.compile(r"^tick-(\d+)\.parquet$")
 _COMPACT_RE = re.compile(r"^compact-(\d+)-(\d+)\.parquet$")
@@ -68,6 +99,22 @@ def parse_ticks(filename: str) -> tuple[int, int] | None:
     if m:
         return int(m.group(1)), int(m.group(2))
     return None
+
+
+def _committed_files(d: str, before_tick: int) -> list[str]:
+    """Store files in partition dir ``d`` written by ticks STRICTLY
+    BEFORE ``before_tick``. The manifest rename is the only commit
+    point, so a tick that crashed after its store writes leaves
+    ``tick-<before_tick>`` files on disk; a replay must not read them
+    back as committed state (the distributed minhash route tags rows
+    old/new by FILE origin, and a new doc's stale copy tagged old
+    would let its candidate pairs be dropped as old-old)."""
+    out: list[str] = []
+    for f in sorted(os.listdir(d)):
+        rng = parse_ticks(f)
+        if rng is not None and rng[1] < before_tick:
+            out.append(os.path.join(d, f))
+    return out
 
 
 def scan(roots: list[str]) -> list[dict]:
@@ -174,10 +221,6 @@ def compact_dir(
     DISTINCT *); pass ``key_cols`` (first copy kept) for tables whose
     payload columns Arrow can't group by (the cells store's vector
     column)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     inputs: list[tuple[str, int, int]] = []
     for f in sorted(os.listdir(d)):
         # a crash between write_table and os.replace leaves a
@@ -198,8 +241,6 @@ def compact_dir(
         return 0
     t = pa.concat_tables([pq.read_table(p) for p, _, _ in inputs])
     if key_cols:
-        import pyarrow.compute as pc
-
         # factorize each key column to integer codes first: np.unique
         # (axis=0) rejects object arrays, so raw string keys would
         # crash — dictionary codes make any Arrow key type uniquable
@@ -229,3 +270,235 @@ def compact_dir(
             os.remove(p)
             n += 1
     return n
+
+
+class TickStore:
+    """One incremental store on disk, per the module docstring.
+
+    ``parts`` maps each partitioned subdir to its partition key
+    (``{"bands": "bkt", "docs": "bkt"}``); ``meta`` is the subdir that
+    holds the manifest and the generation dirs (``""`` = the store dir
+    itself); ``gens`` names the manifest keys whose values are
+    generation dirs (``"assign"`` → ``assign-<n>``). Plain strings
+    only, so a Ray task can carry it to write partitions itself."""
+
+    def __init__(
+        self,
+        root: str,
+        meta: str = "",
+        parts: dict[str, str] | None = None,
+        gens: tuple[str, ...] = (),
+    ):
+        self.root = root
+        self.meta = os.path.join(root, meta)
+        self.parts = dict(parts or {})
+        self.gens = tuple(gens)
+        self.manifest_path = os.path.join(self.meta, "MANIFEST.json")
+        os.makedirs(self.meta, exist_ok=True)
+
+    # -- manifest ----------------------------------------------------------
+    def manifest(self) -> dict:
+        """The committed manifest, or a fresh store's when none was
+        ever committed. Raises ``ValueError`` naming the path when the
+        file exists but does not parse."""
+        try:
+            with open(self.manifest_path) as f:
+                man = json.load(f)
+        except FileNotFoundError:
+            return {"tick": 0, "last_batch": None, **dict.fromkeys(self.gens)}
+        except ValueError as ex:
+            raise ValueError(
+                f"unreadable store manifest {self.manifest_path}: {ex}"
+            ) from ex
+        if not isinstance(man, dict) or "tick" not in man:
+            raise ValueError(
+                f"unreadable store manifest {self.manifest_path}: {man!r}"
+            )
+        return man
+
+    def committed_tick(self) -> int:
+        return self.manifest()["tick"]
+
+    def begin(self, batch_key: str | None) -> tuple[int, bool]:
+        """(tick number, replay) for a batch: the batch whose
+        ``batch_key`` the manifest committed replays its committed
+        tick; any other batch is the next tick."""
+        man = self.manifest()
+        if batch_key is not None and man.get("last_batch") == batch_key:
+            return man["tick"], True
+        return man["tick"] + 1, False
+
+    def commit(self, man: dict, retain=lambda name: False) -> list[str]:
+        """The pointer switch: atomically replace the manifest with
+        ``man``, then remove every generation dir it no longer names
+        unless ``retain(name)``. Returns the removed names."""
+        # looked up per call, so a crash at the switch can be simulated
+        from beamium_ray.state.manifest import atomic_write_bytes
+
+        atomic_write_bytes(
+            self.manifest_path, json.dumps(man, sort_keys=True).encode()
+        )
+        live = {man[k] for k in self.gens}
+        gone = []
+        for d in sorted(os.listdir(self.meta)):
+            gen, sep, _ = d.partition("-")
+            if sep and gen in self.gens and d not in live and not retain(d):
+                shutil.rmtree(os.path.join(self.meta, d), ignore_errors=True)
+                gone.append(d)
+        return gone
+
+    # -- generations -------------------------------------------------------
+    def generation(
+        self, name: str, write, schema: pa.Schema | None = None
+    ) -> str:
+        """Write generation dir ``name`` through ``write(path)`` and
+        return its path. A crashed replay's copy is removed first; with
+        ``schema``, a write that produced no file (Ray writes none for
+        an empty Dataset) is seeded with an empty file, since a
+        manifest must never name a parquet-less dir. The generation is
+        live only once :meth:`commit` names it."""
+        from beamium_ray.state.manifest import ensure_parquet_dir
+
+        p = os.path.join(self.meta, name)
+        if os.path.isdir(p):
+            shutil.rmtree(p)
+        write(p)
+        if schema is not None:
+            ensure_parquet_dir(p, schema)
+        return p
+
+    def rewrite(
+        self, key: str, write, schema: pa.Schema, retain=lambda name: False
+    ) -> None:
+        """Between-ticks rewrite of generation ``key`` (a retention
+        sweep): ``<key>-<tick>-gc``, or ``-gcb`` when that is the live
+        one, then the pointer switch."""
+        man = self.manifest()
+        name = f"{key}-{man['tick']:05d}-gc"
+        if man[key] == name:
+            name += "b"
+        self.generation(name, write, schema)
+        self.commit({**man, key: name}, retain)
+
+    def dataset(self, key: str):
+        """The committed generation ``key`` as a Dataset (None before
+        the first commit)."""
+        import ray.data
+
+        name = self.manifest()[key]
+        if name is None:
+            return None
+        return ray.data.read_parquet(os.path.join(self.meta, name))
+
+    # -- partitions --------------------------------------------------------
+    def _part_dir(self, sub: str, part) -> str:
+        return os.path.join(self.root, sub, f"{self.parts[sub]}={part}")
+
+    def write(self, sub: str, part, tick: int, t: pa.Table) -> None:
+        """Tick ``tick``'s rows of one partition, tmp+renamed to the
+        deterministic name a replay overwrites."""
+        path = os.path.join(
+            self._part_dir(sub, part), f"tick-{tick:05d}.parquet"
+        )
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        pq.write_table(t, tmp)
+        os.replace(tmp, path)
+
+    def files(self, sub: str, parts, before_tick: int) -> list[str]:
+        """Committed files of the given partitions: ticks strictly
+        before ``before_tick``."""
+        out: list[str] = []
+        for p in sorted(parts):
+            d = self._part_dir(sub, p)
+            if os.path.isdir(d):
+                out.extend(_committed_files(d, before_tick))
+        return out
+
+    def read(
+        self, sub: str, parts, before_tick: int,
+        schema: pa.Schema | None = None, where=None,
+    ) -> pa.Table | None:
+        """The committed rows of the given partitions as one table,
+        each file filtered through ``where`` when given. With no file,
+        ``schema``'s empty table (None without a schema)."""
+        tables = [] if schema is None else [schema.empty_table()]
+        for p in self.files(sub, parts, before_tick):
+            t = pq.read_table(p)
+            tables.append(t if where is None else where(t))
+        return pa.concat_tables(tables) if tables else None
+
+    def sweep(self, tick: int) -> None:
+        """Remove every partition's ``tick-<tick>`` file: a crashed
+        attempt of this tick may have written them for a DIFFERENT
+        batch (the watcher replays the same batch, but an operator who
+        moves the files aside feeds another), and files the new batch
+        does not overwrite would look committed to later ticks."""
+        name = f"tick-{tick:05d}.parquet"
+        for sub in self.parts:
+            root = os.path.join(self.root, sub)
+            if not os.path.isdir(root):
+                continue
+            for d in os.listdir(root):
+                p = os.path.join(root, d, name)
+                if os.path.isfile(p):
+                    os.remove(p)
+
+    # -- lifecycle ---------------------------------------------------------
+    def expire(
+        self,
+        max_ticks: int | None = None,
+        ttl_seconds: float | None = None,
+        max_bytes: int | None = None,
+        now: float | None = None,
+        ids: tuple[str, str] | None = None,
+    ) -> tuple[dict, np.ndarray]:
+        """Delete the partition files :func:`select_expired` picks.
+        Returns counters {files_deleted, bytes_deleted, ticks_dropped}
+        (the reference's ``beamium_skip_ttl``/``beamium_skip_max_size``
+        analogs) and, for ``ids=(sub, col)``, the distinct ``col``
+        values the deleted files of ``sub`` held, read before the
+        deletion."""
+        files = scan([os.path.join(self.root, s) for s in self.parts])
+        drop = select_expired(
+            files, self.committed_tick(), max_ticks, ttl_seconds,
+            max_bytes, now,
+        )
+        expired = np.zeros(0, np.int64)
+        if ids is not None:
+            sub, col = ids
+            root = os.path.join(self.root, sub) + os.sep
+            got = [
+                pq.read_table(f["path"], columns=[col])[col].to_numpy()
+                for f in drop
+                if f["path"].startswith(root)
+            ]
+            if got:
+                expired = np.unique(np.concatenate(got).astype(np.int64))
+        for f in drop:
+            os.remove(f["path"])
+        counters = {
+            "files_deleted": len(drop),
+            "bytes_deleted": sum(f["size"] for f in drop),
+            "ticks_dropped": sorted({f["hi"] for f in drop}),
+        }
+        return counters, expired
+
+    def compact(self, lag: int = 0, key_cols: dict | None = None) -> int:
+        """:func:`compact_dir` over every partition, bounded to
+        ``max_hi = committed tick - lag`` (``lag=1`` for a store whose
+        replay reads strictly-before-tick rows of the committed tick).
+        ``key_cols`` maps a subdir to its distinct-key columns. Returns
+        the number of files merged away."""
+        max_hi = self.committed_tick() - lag
+        n = 0
+        for sub in self.parts:
+            root = os.path.join(self.root, sub)
+            if not os.path.isdir(root):
+                continue
+            keys = (key_cols or {}).get(sub)
+            for part in sorted(os.listdir(root)):
+                d = os.path.join(root, part)
+                if os.path.isdir(d):
+                    n += compact_dir(d, keys, max_hi=max_hi)
+        return n

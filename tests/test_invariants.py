@@ -1,6 +1,6 @@
 """Source-level invariants of the package — one Ray start, one router
-for the filters, one block store, one keyed shuffle — checked by
-scanning its source text: no Ray, milliseconds."""
+for the filters, one block store, one keyed shuffle, one tick store —
+checked by scanning its source text: no Ray, milliseconds."""
 
 from __future__ import annotations
 
@@ -53,3 +53,12 @@ def test_one_bucket_shuffle():
     # every keyed shuffle goes through functions.cluster.bucket_apply,
     # whose no-empty-group contract tests/test_bucket_apply.py pins
     assert _files_with("map_groups(") == ["functions/cluster.py"]
+
+
+@pytest.mark.parametrize(
+    "needle", ['"MANIFEST.json"', "_committed_files(", "parse_ticks(", "tick-{"]
+)
+def test_one_tick_store(needle):
+    # the incremental stores commit, read, sweep, expire and compact
+    # through state.storegc.TickStore; none knows the file layout
+    assert _files_with(needle) == ["state/storegc.py"]

@@ -4,6 +4,8 @@ and the sizing never changes what the rollup stores."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from beamium_ray.config import EngineConfig
@@ -63,3 +65,27 @@ def test_read_sizing_never_changes_the_store(files, tmp_path):
         rollup_to_blocks(datapoints(seq, cfg, mode="lines"), cfg, files, out)
         shas.append(sorted(b["sha256"] for b in plan(out)))
     assert shas[0] == shas[1] and shas[0]
+
+
+def test_run_reads_the_files_a_glob_names(files, tmp_path, capsys):
+    # `run` reads and fingerprints one concrete file list, so a glob
+    # input stores what its directory stores
+    from beamium_ray import run
+    from beamium_ray.state.manifest import plan
+
+    d = files[0].rsplit("/", 1)[0]
+    shas = []
+    for name, inp in (("dir", d), ("glob", f"{d}/*.parquet")):
+        out = str(tmp_path / name)
+        assert run.main(["--input", inp, "--output", out, "--no-metrics"]) == 0
+        shas.append(sorted(b["sha256"] for b in plan(out)))
+    assert shas[0] == shas[1] and shas[0]
+
+    # a glob that matches no file fails with one line, check and run alike
+    none = f"{d}/*.nope"
+    assert run.main(["--check", "--input", none]) == 1
+    assert "matches no parquet file" in capsys.readouterr().err
+    assert run.main(["--input", none, "--output", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"input matches no parquet file: {none}"
+    assert not os.path.exists(tmp_path / "x")

@@ -7,8 +7,10 @@ the store had only ever contained the retained ticks."""
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
+import pytest
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -465,3 +467,201 @@ def test_span_replay_after_compaction_is_identical(ray_session, tmp_path):
                for n in names if storegc.parse_ticks(n))
     replay = collect(inc.tick(toks([(2, seq_a), (3, seq_b)]), batch_key="b"))
     assert replay == out2
+
+
+# ---------------- the tick store (no Ray) ----------------
+
+
+def _part_table(tick: int) -> pa.Table:
+    return pa.table({"v": pa.array([tick, tick + 100], pa.int64())})
+
+
+def test_tick_store_read_excludes_the_reading_tick(tmp_path):
+    st = storegc.TickStore(str(tmp_path), "meta", {"x": "bkt"})
+    for t in (1, 2, 3):
+        for b in (0, 5):
+            st.write("x", b, t, _part_table(t))
+    sch = pa.schema([("v", pa.int64())])
+    # a replay of tick 3 (or a crashed tick 3's files) is not committed
+    # state for tick 3 itself
+    got = st.read("x", {0, 5}, 3, sch)
+    assert sorted(got["v"].to_pylist()) == [1, 1, 2, 2, 101, 101, 102, 102]
+    assert [os.path.basename(p) for p in st.files("x", {5}, 2)] == [
+        "tick-00001.parquet"
+    ]
+    # a compact file counts as its newest tick; partitions never
+    # written and reads before tick 1 give the empty table
+    storegc.compact_dir(str(tmp_path / "x" / "bkt=0"), max_hi=2)
+    assert sorted(st.read("x", {0}, 3, sch)["v"].to_pylist()) == [
+        1, 2, 101, 102,
+    ]
+    assert st.read("x", {0}, 2, sch).num_rows == 0
+    assert st.read("x", {7}, 9, sch).schema == sch
+    assert st.read("x", {7}, 9) is None
+
+
+def test_tick_store_sweep_removes_only_that_tick(tmp_path):
+    st = storegc.TickStore(str(tmp_path), "meta", {"x": "bkt", "y": "cell"})
+    for t in (1, 2):
+        st.write("x", 0, t, _part_table(t))
+        st.write("y", 3, t, _part_table(t))
+    st.write("x", 1, 2, _part_table(2))
+    pq.write_table(
+        _part_table(5), str(tmp_path / "x" / "bkt=1" / "compact-00002-00005.parquet")
+    )
+    (tmp_path / "x" / "bkt=0" / "notes.txt").write_text("keep")
+    st.sweep(2)
+    left = sorted(
+        os.path.relpath(os.path.join(r, f), tmp_path)
+        for r, _, fs in os.walk(tmp_path)
+        for f in fs
+    )
+    assert left == [
+        "x/bkt=0/notes.txt",
+        "x/bkt=0/tick-00001.parquet",
+        "x/bkt=1/compact-00002-00005.parquet",
+        "y/cell=3/tick-00001.parquet",
+    ]
+
+
+def test_tick_store_seeds_an_empty_generation(tmp_path):
+    st = storegc.TickStore(str(tmp_path), gens=("state",))
+    sch = pa.schema([("k", pa.string()), ("ts", pa.int64())])
+    p = st.generation("state-00001", lambda path: None, sch)
+    assert os.listdir(p) == ["empty.parquet"]
+    assert pq.read_table(p).schema == sch
+    # a generation that wrote a file is not seeded, and a crashed
+    # replay's leftovers are gone before the write
+    os.makedirs(tmp_path / "state-00002")
+    (tmp_path / "state-00002" / "stale.parquet").write_bytes(b"x")
+
+    def write(path):
+        os.makedirs(path)
+        pq.write_table(sch.empty_table(), os.path.join(path, "0.parquet"))
+
+    p = st.generation("state-00002", write, sch)
+    assert os.listdir(p) == ["0.parquet"]
+
+
+def test_tick_store_gcs_generations_only_after_the_switch(tmp_path):
+    import beamium_ray.state.manifest as _m
+
+    st = storegc.TickStore(str(tmp_path), "assign", gens=("assign",))
+    sch = pa.schema([("id", pa.int64())])
+    st.generation("assign-00001", lambda p: None, sch)
+    st.commit({"tick": 1, "assign": "assign-00001", "last_batch": "a"})
+    st.generation("assign-00002", lambda p: None, sch)
+
+    real = _m.atomic_write_bytes
+
+    def boom(path, data):
+        raise OSError("simulated crash at the pointer switch")
+
+    _m.atomic_write_bytes = boom
+    try:
+        with pytest.raises(OSError):
+            st.commit({"tick": 2, "assign": "assign-00002", "last_batch": "b"})
+    finally:
+        _m.atomic_write_bytes = real
+    # the switch failed: the live generation and the new one both stay
+    assert sorted(os.listdir(tmp_path / "assign")) == [
+        "MANIFEST.json", "assign-00001", "assign-00002",
+    ]
+    assert st.begin("a") == (1, True) and st.begin("b") == (2, False)
+    gone = st.commit({"tick": 2, "assign": "assign-00002", "last_batch": "b"})
+    assert gone == ["assign-00001"]
+    assert sorted(os.listdir(tmp_path / "assign")) == [
+        "MANIFEST.json", "assign-00002",
+    ]
+    # a between-ticks rewrite alternates -gc / -gcb and keeps `retain`
+    os.makedirs(tmp_path / "assign" / "assign-00000-keep")
+    for want in ("assign-00002-gc", "assign-00002-gcb", "assign-00002-gc"):
+        st.rewrite(
+            "assign", lambda p: None, sch,
+            retain=lambda d: d.endswith("-keep"),
+        )
+        assert st.manifest()["assign"] == want
+        assert sorted(os.listdir(tmp_path / "assign")) == [
+            "MANIFEST.json", "assign-00000-keep", want,
+        ]
+
+
+def test_tick_store_manifest_missing_vs_unreadable(tmp_path):
+    st = storegc.TickStore(str(tmp_path), "w", gens=("assign",))
+    assert st.manifest() == {"tick": 0, "last_batch": None, "assign": None}
+    for bad in ("{", "[1]", '"x"'):
+        (tmp_path / "w" / "MANIFEST.json").write_text(bad)
+        with pytest.raises(ValueError, match="MANIFEST.json"):
+            st.manifest()
+
+
+def _tree(root: str) -> dict:
+    """Every dir and file under ``root`` with the file bytes."""
+    out = {}
+    for r, ds, fs in os.walk(root):
+        for d in ds:
+            out[os.path.relpath(os.path.join(r, d), root)] = None
+        for f in fs:
+            p = os.path.join(r, f)
+            out[os.path.relpath(p, root)] = open(p, "rb").read()
+    return out
+
+
+@pytest.mark.parametrize("kind", ["exact", "span", "rate"])
+def test_unreadable_manifest_raises_and_leaves_the_store(
+    ray_session, tmp_path, kind
+):
+    """A manifest that exists but does not parse is not a fresh store:
+    read as one, the next tick would commit tick 1, sweep every
+    committed tick-00001 file and GC every other generation."""
+    import ray.data
+
+    from beamium_ray.datapipe.incdedup import (
+        IncrementalExactDedup,
+        IncrementalSpanDedup,
+    )
+    from beamium_ray.stages.rate import IncrementalRate
+
+    store = str(tmp_path / kind)
+    if kind == "exact":
+        inc = IncrementalExactDedup(store, num_buckets=4)
+        batches = [_ds([(i, _doc(i % 3))]) for i in range(3)]
+    elif kind == "span":
+        inc = IncrementalSpanDedup(store, window=3, num_buckets=4)
+        batches = [
+            ray.data.from_arrow(
+                pa.table(
+                    {
+                        "doc_id": pa.array([i], pa.int64()),
+                        "tokens": pa.array(
+                            [list(range(i, i + 8))], pa.list_(pa.int32())
+                        ),
+                    }
+                )
+            )
+            for i in range(3)
+        ]
+    else:
+        inc = IncrementalRate(store, {"1m": 60_000_000}, num_buckets=2)
+        batches = [
+            ray.data.from_arrow(
+                pa.table(
+                    {
+                        "series_key": pa.array(["a"]),
+                        "ts": pa.array([i * 1_000_000], pa.int64()),
+                        "value": pa.array([10 * i], pa.int64()),
+                        "order": pa.array([0], pa.int64()),
+                    }
+                )
+            )
+            for i in range(3)
+        ]
+    inc.tick(batches[0], batch_key="k1")
+    inc.tick(batches[1], batch_key="k2")
+    man = inc.store.manifest_path
+    with open(man, "w") as f:
+        f.write("{")
+    before = _tree(store)
+    with pytest.raises(ValueError, match=re.escape(man)):
+        inc.tick(batches[2], batch_key="k3")
+    assert _tree(store) == before
