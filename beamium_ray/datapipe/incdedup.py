@@ -129,8 +129,9 @@ class _IncrementalDedupBase:
         tick's files must keep their ``tick-<n>`` names so the replay
         overwrite (and any sweep) still reaches them. Returns the
         number of files merged away."""
+        vec = self._GC_VEC_SUBDIR
         return self.store.compact(
-            key_cols={self._GC_VEC_SUBDIR: [self.id_col]}
+            key_cols={vec: [self.id_col]} if vec else None
         )
 
     def _prune_assignments(self, expired_ids: np.ndarray) -> None:

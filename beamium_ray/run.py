@@ -24,25 +24,27 @@ import sys
 
 def _input_files(inp: str) -> list[str]:
     """The concrete parquet files behind ``--input`` (a dir, a glob or
-    one file): the run reads and fingerprints this same list. A dir is
-    searched recursively, as ``read_parquet`` descends; a glob is
-    expanded, so its fingerprint changes when it matches other files."""
+    one file; [] when none exist): the run reads and fingerprints this
+    same list. A dir is searched recursively, as ``read_parquet``
+    descends; a glob is expanded, so its fingerprint changes when it
+    matches other files."""
     if os.path.isdir(inp):
         return sorted(
             glob.glob(os.path.join(inp, "**", "*.parquet"), recursive=True)
         )
     if any(ch in inp for ch in "*?["):
         return sorted(glob.glob(inp, recursive=True))
-    return [inp]
+    return [inp] if os.path.exists(inp) else []
 
 
-def _input_error(inp: str) -> str | None:
-    """Why ``--input`` cannot be read, in one line, or None."""
+def _input_error(inp: str, paths: list[str]) -> str | None:
+    """Why ``--input`` (expanded to ``paths``) cannot be read, in one
+    line, or None."""
+    if paths:
+        return None
     if not any(ch in inp for ch in "*?[") and not os.path.exists(inp):
         return f"input path does not exist: {inp}"
-    if not _input_files(inp):
-        return f"input matches no parquet file: {inp}"
-    return None
+    return f"input matches no parquet file: {inp}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,6 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         "(the reference's `-t`, src/cmd.rs:40-42)",
     )
     args = ap.parse_args(argv)
+    paths = _input_files(args.input) if args.input else []
+    input_err = args.input and _input_error(args.input, paths)
 
     if args.check:
         # config test mode: parse + validate, never touch Ray
@@ -82,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"configuration error: {ex}", file=sys.stderr)
             return 1
         errors = validate_engine_config(cfg)
-        if args.input and (err := _input_error(args.input)):
-            errors.append(err)
+        if input_err:
+            errors.append(input_err)
         for e in errors:
             print(f"configuration error: {e}", file=sys.stderr)
         if errors:
@@ -93,11 +97,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.input or not args.output:
         ap.error("--input and --output are required (unless --check)")
-    err = _input_error(args.input)
-    if err:
-        print(err, file=sys.stderr)
+    if input_err:
+        print(input_err, file=sys.stderr)
         return 1
-    paths = _input_files(args.input)
 
     from beamium_ray.cli import ray_session
 

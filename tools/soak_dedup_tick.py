@@ -3,13 +3,13 @@
 Drives ``IncrementalExactDedup`` / ``IncrementalMinHashDedup.tick``
 directly over a fresh store, one batch of the same size per tick,
 with ``--dup-frac`` of each batch exact copies of earlier docs, in a
-Ray session of ``--num-cpus`` CPUs. Times every tick and, inside it,
+one-CPU Ray session. Times every tick and, inside it,
 the store's committed-partition reads (``_read_hash_rows``, or
 ``_read_band_rows`` + ``_read_docs``) and the commit (``_commit_tick``:
 assignment rewrite, partition writes, manifest switch).
 
     python tools/soak_dedup_tick.py [--mode exact|minhash] [--ticks 40]
-        [--docs-per-tick 2000] [--dup-frac 0.1] [--num-cpus 1]
+        [--docs-per-tick 2000] [--dup-frac 0.1]
 
 Prints one JSON line: seconds per tick, read and commit at ticks 1,
 10, 20 and 40 (those within ``--ticks``), and the final assignment
@@ -65,7 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--ticks", type=int, default=40)
     ap.add_argument("--docs-per-tick", type=int, default=2000)
     ap.add_argument("--dup-frac", type=float, default=0.1)
-    ap.add_argument("--num-cpus", type=int, default=1)
     args = ap.parse_args(argv)
 
     import numpy as np
@@ -100,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
 
     root = tempfile.mkdtemp(prefix="soak_dedup_tick_")
     try:
-        with ray_session(args.num_cpus):
+        with ray_session(1):
             import ray.data
 
             def ds(ids, src):
@@ -142,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "ticks": args.ticks,
         "docs_per_tick": args.docs_per_tick,
         "dup_frac": args.dup_frac,
-        "num_cpus": args.num_cpus,
-        "cpus_visible": len(os.sched_getaffinity(0)),
+        "num_cpus": 1,
         "tick_s": {k: round(per_tick[k - 1][0], 4) for k in at},
         "read_s": {k: round(per_tick[k - 1][1], 4) for k in at},
         "commit_s": {k: round(per_tick[k - 1][2], 4) for k in at},
