@@ -382,7 +382,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
           the same bucketed-groupby machinery as one-shot
           ``minhash_dedup`` (``candidate_pair_ds``), old/new tagged via
           the pair payload channel, and exact verification runs as
-          Bloom-pruned pair↔text bucket joins (``pair_metric_join``) —
+          Bloom-pruned pair↔text bucket joins (``verify_pairs``) —
           neither band rows nor texts ever land on the driver; the
           only per-tick driver terms left are the new-id array
           (8 B/doc), the verified-edge list and the ≤ num_buckets
@@ -411,11 +411,10 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
 
     def _tick_driver(self, mat, tick: int, batch_key: str | None):
         from beamium_ray.datapipe.dedup import (
-            _jaccard_for_pairs,
             _segment_pair_indices,
             minhash_bands_batch,
-            shingle_sets_for,
         )
+        from beamium_ray.datapipe.pairjoin import jaccard_metric, verify_pairs
 
         # 1. band rows for the new docs (distributed; narrow result)
         band_ds = mat.map_batches(
@@ -466,37 +465,29 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         pairs = np.unique(np.stack([sa[m], sb[m]], axis=1), axis=0) \
             if m.any() else np.zeros((0, 2), np.int64)
 
-        # 4. exact-Jaccard verification
+        # 4. exact-Jaccard verification against the new batch's texts
+        # plus the committed texts of the old endpoints
+        doc_t = pa.concat_tables(
+            list(
+                mat.select_columns([self.id_col, self.text_col])
+                .iter_batches(batch_format="pyarrow", batch_size=None)
+            )
+        )
         edges_a: list[int] = []
         edges_b: list[int] = []
         if len(pairs):
             need_old = np.unique(pairs[~np.isin(pairs, new_arr)])
-            sets = shingle_sets_for(
-                mat,
-                pairs.ravel(),
-                text_col=self.text_col,
-                id_col=self.id_col,
-                k=self.k,
+            ver = verify_pairs(
+                pa.table({"a": pairs[:, 0], "b": pairs[:, 1]}),
+                pa.concat_tables(
+                    [doc_t, self._read_docs(need_old, tick)],
+                    promote_options="permissive",
+                ),
+                self.id_col, self.text_col, jaccard_metric(self.k),
+                self.threshold, "jaccard",
             )
-            old_docs = self._read_docs(need_old, tick)
-            if old_docs.num_rows:
-                import ray.data as _rd
-
-                sets.update(
-                    shingle_sets_for(
-                        _rd.from_arrow(old_docs),
-                        need_old,
-                        text_col=self.text_col,
-                        id_col=self.id_col,
-                        k=self.k,
-                    )
-                )
-            jac = _jaccard_for_pairs(
-                [tuple(p) for p in pairs.tolist()], sets
-            )
-            ok = jac >= self.threshold
-            edges_a = pairs[ok, 0].tolist()
-            edges_b = pairs[ok, 1].tolist()
+            edges_a = ver["a"].to_pylist()
+            edges_b = ver["b"].to_pylist()
 
         # 5-8. shared merge + commit; the store writer appends the new
         # batch's band + doc rows, bucketed, before the manifest switch
@@ -513,12 +504,6 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
                     new_rows.select(["band", "band_hash", self.id_col])
                     .filter(pa.array(sel)),
                 )
-            doc_t = pa.concat_tables(
-                list(
-                    mat.select_columns([self.id_col, self.text_col])
-                    .iter_batches(batch_format="pyarrow", batch_size=None)
-                )
-            )
             d_ids = doc_t[self.id_col].to_numpy()
             for b in sorted({int(i) % self.B for i in d_ids.tolist()}):
                 sel = (d_ids % self.B) == b
@@ -537,7 +522,7 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
         (``is_new=0``) — the old/new tag rides the pair payload channel,
         so the old-old filter (pairs already found in their own tick)
         is one vectorized mask, no id broadcast. Exact-Jaccard
-        verification is the Bloom-pruned ``pair_metric_join`` against
+        verification is the Bloom-pruned ``verify_pairs`` join against
         new texts ∪ the doc-store partitions holding committed
         endpoints. Store appends are bucketed ``map_groups`` writes to
         the same deterministic ``tick-<n>.parquet`` names the driver
@@ -549,8 +534,10 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             minhash_bands_batch,
         )
         from beamium_ray.datapipe.pairjoin import (
-            jaccard_text_metric,
-            pair_metric_join,
+            jaccard_metric,
+            pair_schema,
+            to_table,
+            verify_pairs,
         )
         from beamium_ray.functions.cluster import default_partitions
 
@@ -652,31 +639,13 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             doc_files = self.store.files("docs", doc_bkts, tick)
             if doc_files:
                 payload = payload.union(rd.read_parquet(doc_files))
-            pair_ab = pairs.map_batches(
-                lambda t: t.select(["a", "b"]),
-                batch_format="pyarrow",
-                batch_size=None,
+            et = to_table(
+                verify_pairs(
+                    pairs, payload, idc, txc, jaccard_metric(self.k),
+                    self.threshold, "jaccard", P,
+                ),
+                pair_schema("jaccard"),
             )
-            ver = pair_metric_join(
-                pair_ab, payload, idc, txc,
-                jaccard_text_metric(self.k), P, "jaccard",
-                prune_hint=n_pairs,
-            )
-            et_parts = [
-                pa.table(
-                    {"a": pa.array([], pa.int64()),
-                     "b": pa.array([], pa.int64())}
-                )
-            ]
-            for b in ver.map_batches(
-                lambda t: t.filter(
-                    pc.greater_equal(t["jaccard"], self.threshold)
-                ).select(["a", "b"]),
-                batch_format="pyarrow",
-                batch_size=None,
-            ).iter_batches(batch_format="pyarrow", batch_size=None):
-                et_parts.append(b)
-            et = pa.concat_tables(et_parts)
             edges_a = et["a"].to_numpy()
             edges_b = et["b"].to_numpy()
 
@@ -744,6 +713,12 @@ class IncrementalMinHashDedup(_IncrementalDedupBase):
             return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
         bucket_apply(mat, w, by="sbkt", prep=tag).count()
+
+
+def _unit_rows(col) -> np.ndarray:
+    """float64 rows of a vector column, scaled to unit length."""
+    V = np.stack(col.to_numpy(zero_copy_only=False)).astype(np.float64)
+    return V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-30)
 
 
 class IncrementalSemanticDedup(_IncrementalDedupBase):
@@ -822,25 +797,11 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
         self._centroids = cent
         return cent
 
-    def _read_cells(
-        self, cells: set[int], before_tick: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, vectors) of the committed rows in the touched cells —
-        ticks strictly before ``before_tick`` (crash-replay safe)."""
-        t = self.store.read("cells", cells, before_tick)
-        if t is None or t.num_rows == 0:
-            return np.zeros(0, np.int64), np.zeros((0, 0))
-        return (
-            t[self.id_col].to_numpy().astype(np.int64),
-            np.stack(t[self.vec_col].to_numpy(zero_copy_only=False)).astype(
-                np.float64
-            ),
-        )
-
     def tick(self, new_ds, batch_key: str | None = None):
         """Fold one batch of new vectors in; returns the updated full
         (id, cluster) assignment Dataset."""
         from beamium_ray.datapipe.dedup import _segment_pair_indices
+        from beamium_ray.datapipe.pairjoin import cosine_metric, verify_pairs
         from beamium_ray.datapipe.similarity import _nearest_centroid
 
         tick, replay = self.store.begin(batch_key)
@@ -855,7 +816,7 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
         cent = self._load_or_train_centroids(mat)
 
         # new batch to the driver (ticks are bounded by the watch
-        # contract): ids, unit vectors, cells
+        # contract): ids, vectors, cells
         t = pa.concat_tables(
             list(
                 mat.select_columns([self.id_col, self.vec_col])
@@ -863,70 +824,52 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
             )
         )
         n_ids = t[self.id_col].to_numpy().astype(np.int64)
-        V = np.stack(
-            t[self.vec_col].to_numpy(zero_copy_only=False)
-        ).astype(np.float64) if t.num_rows else np.zeros((0, len(cent[0])))
-        Vu = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-30)
-        cells = (
-            _nearest_centroid(Vu, cent).astype(np.int64)
-            if len(Vu)
+        new_t = pa.table(
+            {
+                self.id_col: pa.array(n_ids, pa.int64()),
+                self.vec_col: t[self.vec_col],
+            }
+        )
+        cells = _nearest_centroid(
+            _unit_rows(new_t[self.vec_col]), cent
+        ).astype(np.int64)
+        # committed rows of the touched cells only — ticks strictly
+        # before this one (crash-replay safe)
+        old_t = self.store.read(
+            "cells", set(cells.tolist()), tick, new_t.schema
+        )
+        o_ids = old_t[self.id_col].to_numpy()
+        o_cells = (
+            _nearest_centroid(_unit_rows(old_t[self.vec_col]), cent)
+            .astype(np.int64)
+            if len(o_ids)
             else np.zeros(0, np.int64)
         )
         new_id_set = set(n_ids.tolist())
 
-        # committed rows of the touched cells only
-        o_ids, OV = self._read_cells(set(cells.tolist()), tick)
-        if len(o_ids):
-            o_cells = _nearest_centroid(
-                OV / np.maximum(
-                    np.linalg.norm(OV, axis=1, keepdims=True), 1e-30
-                ),
-                cent,
-            ).astype(np.int64)
-        else:
-            o_cells = np.zeros(0, np.int64)
-
-        # within-cell candidate pairs touching ≥1 new id
+        # within-cell candidate pairs touching ≥1 new id, verified with
+        # exact cosine against the new and committed vectors
         all_ids = np.concatenate([n_ids, o_ids])
-        all_cells = np.concatenate([cells, o_cells])
-        allV = (
-            np.concatenate([V, OV], axis=0) if len(o_ids) else V
-        )
         order, ai, bi, _ = _segment_pair_indices(
-            all_cells.astype(np.uint64), all_ids, self.cell_cap
+            np.concatenate([cells, o_cells]).astype(np.uint64), all_ids,
+            self.cell_cap,
         )
         sa, sb = all_ids[order][ai], all_ids[order][bi]
         new_arr = np.array(sorted(new_id_set), np.int64)
         m = np.isin(sa, new_arr) | np.isin(sb, new_arr)
-        edges_a: list[int] = []
-        edges_b: list[int] = []
-        if m.any():
-            row_of = {int(i): k for k, i in enumerate(all_ids.tolist())}
-            A = allV[[row_of[int(x)] for x in sa[m]]]
-            B = allV[[row_of[int(x)] for x in sb[m]]]
-            na = np.maximum(np.linalg.norm(A, axis=1), 1e-30)
-            nb_ = np.maximum(np.linalg.norm(B, axis=1), 1e-30)
-            cos = (A * B).sum(1) / (na * nb_)
-            ok = cos >= self.threshold
-            uniq = np.unique(
-                np.stack([sa[m][ok], sb[m][ok]], axis=1), axis=0
-            ) if ok.any() else np.zeros((0, 2), np.int64)
-            edges_a = uniq[:, 0].tolist()
-            edges_b = uniq[:, 1].tolist()
+        ver = verify_pairs(
+            pa.table({"a": sa[m], "b": sb[m]}),
+            pa.concat_tables([new_t, old_t], promote_options="permissive"),
+            self.id_col, self.vec_col, cosine_metric(), self.threshold,
+            "cosine",
+        )
+        edges_a = ver["a"].to_pylist()
+        edges_b = ver["b"].to_pylist()
 
         def write_store(tk: int) -> None:
             for c in sorted(set(cells.tolist())):
-                sel = cells == c
                 self.store.write(
-                    "cells", c, tk,
-                    pa.table(
-                        {
-                            self.id_col: pa.array(n_ids[sel], pa.int64()),
-                            self.vec_col: t[self.vec_col].filter(
-                                pa.array(sel)
-                            ),
-                        }
-                    ),
+                    "cells", c, tk, new_t.filter(pa.array(cells == c))
                 )
 
         return self._commit_tick(

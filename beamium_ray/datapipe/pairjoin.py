@@ -1,34 +1,40 @@
-"""Distributed pair verification: keep candidate pairs AND their
-payload lookups Dataset-resident end-to-end.
+"""Pair verification for the near-dup family: every candidate pair is
+scored here, on either route, by one kernel per metric.
 
-Round-2's verified near-dup family (minhash / simhash / embedding)
-collected candidate pairs to the driver and fetched shingle sets /
-signatures / vectors driver-side under a ``max_broadcast_pairs`` cap —
-bounded and loud, but a hard scale ceiling: a 100 TB corpus with a
-legitimately large verified-pair load could not run verified at all
-(VERDICT r2 "What's wrong" item 1).
+:func:`verify_pairs` takes its route from the candidate pairs that
+``dedup._routed_pairs`` returned:
 
-This module is the distributed path. Two bucket shuffles, zero driver
-collection (the engine's own `_lookup` pattern from
-``connected_components``, dedup.py):
+- a driver ``pa.Table`` (at most ``max_broadcast_pairs`` pairs): one
+  filtered pass fetches the touched ids' payload
+  (:func:`iter_rows_by_ids`) and the kernel scores every pair on the
+  driver, each payload row prepared once however many pairs share it;
+- a Dataset: :func:`pair_metric_join` scores the pairs with no driver
+  collection, in two bucket shuffles (the engine's own ``_lookup``
+  pattern from ``connected_components``, dedup.py):
 
-1. **doc-keyed lookup**: each pair (a, b) emits two request rows keyed
-   by its endpoints; payload rows (doc_id, payload) are tagged into the
-   same hash buckets; one groupby answers every request with its
-   endpoint's payload (vectorized searchsorted merge per bucket).
-   Payload rows for un-requested docs die inside the groupby.
-2. **pair-keyed combine**: the answered (a, b, side, payload) rows are
-   bucketed by hash(a, b); within a bucket the two sides of each pair
-   are adjacent after one lexsort, and a vectorized metric kernel
-   (signature agreement / exact k-gram Jaccard / cosine) scores all
-   pairs of the bucket in one pass.
+  1. **doc-keyed lookup**: each pair (a, b) emits two request rows
+     keyed by its endpoints; payload rows (doc_id, payload) are tagged
+     into the same hash buckets; one groupby answers every request with
+     its endpoint's payload (vectorized searchsorted merge per bucket).
+     Payload rows for un-requested docs die inside the groupby.
+  2. **pair-keyed combine**: the answered (a, b, side, payload) rows
+     are bucketed by hash(a, b); within a bucket the two sides of each
+     pair are adjacent after one lexsort, and the metric kernel scores
+     all pairs of the bucket in one pass.
 
-Memory: nothing scales with the total pair count on any single node —
-pairs, requests and answers are all narrow rows spread across hash
-buckets; the object store spills oversized buckets.
+  Nothing scales with the total pair count on any single node — pairs,
+  requests and answers are narrow rows spread across hash buckets; the
+  object store spills oversized buckets.
+
+A kernel (:class:`PairMetric`) is two functions: ``rows`` prepares the
+per-row features of a payload column, ``score`` scores pairs given as
+row indices into them. Both routes call the same two, so the routes
+agree bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -153,16 +159,13 @@ def pair_metric_join(
     payload_ds,
     id_col: str,
     payload_col: str,
-    metric_fn,
+    metric: PairMetric,
     num_partitions: int,
     metric_name: str = "metric",
     prune_hint: int | None = None,
 ):
     """(a, b) pairs × (id, payload) table → (a, b, metric) Dataset via
     two bucket shuffles and NO driver collection (module docstring).
-
-    ``metric_fn(payload_a: pa.Array, payload_b: pa.Array) -> np.ndarray``
-    must be vectorized over aligned rows (one row per pair).
 
     ``prune_hint`` (approximate pair count, if the caller knows it)
     enables BLOOM PRUNING of the payload side: a fixed-size bitmap over
@@ -288,13 +291,6 @@ def pair_metric_join(
         a = g["a"].to_numpy(zero_copy_only=False)
         b = g["b"].to_numpy(zero_copy_only=False)
         side = g["side"].to_numpy(zero_copy_only=False)
-        empty = pa.table(
-            {
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                metric_name: pa.array([], pa.float64()),
-            }
-        )
         order = np.lexsort((side, b, a))
         a_s, b_s, s_s = a[order], b[order], side[order]
         # a pair has exactly one side-0 and one side-1 row (pairs are
@@ -309,113 +305,212 @@ def pair_metric_join(
         )
         i0 = np.flatnonzero(both)
         if len(i0) == 0:
-            return empty
-        i1 = i0 + 1
-        pl = _as_array(g["pl"])
-        pl0 = pl.take(pa.array(order[i0].astype(np.int64)))
-        pl1 = pl.take(pa.array(order[i1].astype(np.int64)))
-        m = metric_fn(pl0, pl1)
+            return pair_schema(metric_name).empty_table()
+        m = metric.score(
+            metric.rows(_as_array(g["pl"])), order[i0], order[i0 + 1]
+        )
         return pa.table(
             {
                 "a": pa.array(a_s[i0], pa.int64()),
                 "b": pa.array(b_s[i0], pa.int64()),
-                metric_name: pa.array(np.asarray(m, np.float64), pa.float64()),
+                metric_name: pa.array(m, pa.float64()),
             }
         )
 
     return bucket_apply(answered, combine, by="pbkt")
 
 
-# ---------------- vectorized per-pair metric kernels ----------------
+def pair_schema(name: str) -> pa.Schema:
+    """Schema of a scored pair table: (a, b, <name>)."""
+    return pa.schema(
+        [("a", pa.int64()), ("b", pa.int64()), (name, pa.float64())]
+    )
 
 
-def sig_agreement_metric(num_perm: int):
+def iter_rows_by_ids(ds, id_col: str, ids: np.ndarray, columns=None):
+    """Yield pyarrow batches of the rows whose ``id_col`` ∈ ``ids`` —
+    ONE filtered streaming pass over a Dataset (or one filter of a
+    driver table); only matching rows reach the driver."""
+    need = pa.array(np.unique(np.asarray(ids)))
+
+    def grab(b: pa.Table) -> pa.Table:
+        t = b.filter(pc.is_in(b[id_col], value_set=need))
+        return t.select(columns) if columns else t
+
+    if isinstance(ds, pa.Table):
+        batches = [grab(ds)]
+    else:
+        batches = ds.map_batches(
+            grab, batch_format="pyarrow", batch_size=None
+        ).iter_batches(batch_format="pyarrow", batch_size=None)
+    for b in batches:
+        if b.num_rows:
+            yield b
+
+
+def verify_pairs(
+    pairs,
+    payload_ds,
+    id_col: str,
+    payload_col: str,
+    metric: PairMetric,
+    threshold: float,
+    name: str,
+    num_partitions: int | None = None,
+):
+    """The candidate pairs (a, b) whose ``metric`` over the two ids'
+    ``payload_col`` values in ``payload_ds`` is ``>= threshold``, as
+    (a, b, <name>) rows. A pair with an endpoint missing from the
+    payload scores nothing and is dropped, on both routes.
+
+    The route follows ``pairs`` (module docstring): a driver
+    ``pa.Table`` is scored on the driver and returns a ``pa.Table``; a
+    Dataset goes through :func:`pair_metric_join` and returns a
+    materialized Dataset, so nothing pair-shaped reaches the driver.
+    On the driver route ``payload_ds`` may itself be a driver table.
+    """
+    if not isinstance(pairs, pa.Table):
+        import ray.data
+
+        from beamium_ray.functions.cluster import default_partitions
+
+        n = pairs.count()
+        if n == 0:
+            return ray.data.from_arrow(pair_schema(name).empty_table())
+        scored = pair_metric_join(
+            pairs, payload_ds, id_col, payload_col, metric,
+            num_partitions or default_partitions(), name, prune_hint=n,
+        )
+        return scored.map_batches(
+            lambda t: t.filter(pc.greater_equal(t[name], threshold)),
+            batch_format="pyarrow",
+            batch_size=None,
+        ).materialize()
+
+    empty = pair_schema(name).empty_table()
+    ea = pairs["a"].to_numpy()
+    eb = pairs["b"].to_numpy()
+    got = list(
+        iter_rows_by_ids(
+            payload_ds, id_col, np.concatenate([ea, eb]),
+            columns=[id_col, payload_col],
+        )
+    )
+    if not got:
+        return empty
+    t = pa.concat_tables(got)
+    ids = t[id_col].to_numpy()
+    order = np.argsort(ids, kind="stable")
+    ids_s = ids[order]
+
+    def row_of(e: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(ids_s, e), len(ids_s) - 1)
+        return np.where(ids_s[pos] == e, order[pos], -1)
+
+    ia, ib = row_of(ea), row_of(eb)
+    found = (ia >= 0) & (ib >= 0)
+    s = metric.score(
+        metric.rows(_as_array(t[payload_col])), ia[found], ib[found]
+    )
+    keep = s >= threshold
+    return pa.table(
+        [
+            pa.array(ea[found][keep], pa.int64()),
+            pa.array(eb[found][keep], pa.int64()),
+            pa.array(s[keep], pa.float64()),
+        ],
+        schema=empty.schema,
+    )
+
+
+def to_table(scored, schema: pa.Schema) -> pa.Table:
+    """A scored pair result as one driver table — ``scored`` itself
+    when it already is one, else the Dataset's non-empty blocks
+    (``schema``'s empty table when there are none)."""
+    if isinstance(scored, pa.Table):
+        return scored
+    parts = [
+        b
+        for b in scored.iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    return pa.concat_tables(parts) if parts else schema.empty_table()
+
+
+# ---------------- per-pair metric kernels ----------------
+
+
+class PairMetric(NamedTuple):
+    """One metric, both routes: ``rows(payload column)`` → per-row
+    features, ``score(features, ia, ib)`` → float64 score of each pair
+    (ia[i], ib[i]) of row indices into them."""
+
+    rows: Callable[[pa.Array], Any]
+    score: Callable[[Any, np.ndarray, np.ndarray], np.ndarray]
+
+
+def sig_agreement_metric(num_perm: int) -> PairMetric:
     """MinHash signature agreement (unbiased Jaccard estimate) over
-    aligned fixed-length list<int64> signature rows."""
+    fixed-length list<int64> signature rows."""
 
-    def f(x: pa.Array, y: pa.Array) -> np.ndarray:
-        n = len(x)
-        if n == 0:
-            return np.zeros(0)
-        X = np.asarray(x.flatten()).reshape(n, num_perm)
-        Y = np.asarray(y.flatten()).reshape(n, num_perm)
-        return (X == Y).mean(axis=1)
+    def rows(x: pa.Array) -> np.ndarray:
+        return np.asarray(x.flatten()).reshape(len(x), num_perm)
 
-    return f
+    def score(S: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        est = np.zeros(len(ia))
+        CH = 32768  # chunked gather+compare: ~20× faster than one
+        for s in range(0, len(ia), CH):  # giant gather (cache locality)
+            est[s: s + CH] = (
+                S[ia[s: s + CH]] == S[ib[s: s + CH]]
+            ).sum(axis=1)
+        return est / num_perm
 
-
-def jaccard_text_metric(k: int = 5):
-    """Exact k-gram-set Jaccard over aligned TEXT rows (shingling
-    happens inside the kernel — the shuffle ships the text once per
-    pair side, not the ~8× larger shingle sets)."""
-    from beamium_ray.datapipe.dedup import _char_shingle_hashes
-
-    return _jaccard_metric(lambda arr: _char_shingle_hashes(arr, k))
+    return PairMetric(rows, score)
 
 
-def jaccard_tokens_metric(k: int = 8):
-    """Exact k-TOKEN-gram-set Jaccard over aligned list<int> token
-    rows — the tokens-native sibling (the shuffle ships the 4 B/token
-    payload once per pair side; gram hashing happens here)."""
-    from beamium_ray.datapipe.dedup import _token_shingle_hashes
+def jaccard_metric(k: int, shingles: str = "chars") -> PairMetric:
+    """Exact k-gram-set Jaccard |A∩B|/|A∪B| over TEXT rows
+    (``shingles='chars'``, k-byte grams) or list<int> TOKEN rows
+    (``'tokens'``, k-token grams); two empty sets score 0. Shingling
+    happens here, so the Dataset route ships each text once per pair
+    side, not the ~8× larger shingle sets."""
+    from beamium_ray.datapipe.dedup import _shingle_hashes
 
-    return _jaccard_metric(lambda arr: _token_shingle_hashes(arr, k))
+    def rows(x: pa.Array) -> list[np.ndarray]:
+        h, off = _shingle_hashes(x, k, shingles)
+        return [np.unique(h[off[i]: off[i + 1]]) for i in range(len(x))]
 
+    def score(sets: list, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        # |A∩B| via one searchsorted of the smaller sorted-unique set
+        # into the larger: np.intersect1d re-sorts the concatenation per
+        # call (~17 µs/pair at 200-shingle docs); the membership count
+        # is ~4× cheaper and exact for sorted-unique inputs
+        out = np.zeros(len(ia))
+        for i, (x, y) in enumerate(zip(ia.tolist(), ib.tolist())):
+            sa, sb = sets[x], sets[y]
+            if len(sa) > len(sb):
+                sa, sb = sb, sa
+            if len(sa) == 0:
+                continue
+            pos = np.searchsorted(sb, sa)
+            pos[pos == len(sb)] = len(sb) - 1
+            inter = int(np.count_nonzero(sb[pos] == sa))
+            out[i] = inter / max(1, len(sa) + len(sb) - inter)
+        return out
 
-def _jaccard_metric(shingle_fn):
-    """Shared vectorized |A∩B|/|A∪B| over per-row unique shingle-hash
-    sets produced by ``shingle_fn(arr) -> (hashes, row offsets)``."""
-
-    def _sets(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row UNIQUE shingle hashes: (values, row lengths)."""
-        h, off = shingle_fn(arr)
-        n = len(off) - 1
-        if len(h) == 0:
-            return h, np.zeros(n, np.int64)
-        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        o = np.lexsort((h, row))
-        hs, rs = h[o], row[o]
-        keep = np.concatenate(
-            ([True], (hs[1:] != hs[:-1]) | (rs[1:] != rs[:-1]))
-        )
-        return hs[keep], np.bincount(rs[keep], minlength=n)
-
-    def f(x: pa.Array, y: pa.Array) -> np.ndarray:
-        n = len(x)
-        if n == 0:
-            return np.zeros(0)
-        vx, lx = _sets(x)
-        vy, ly = _sets(y)
-        pidx = np.concatenate(
-            [
-                np.repeat(np.arange(n, dtype=np.int64), lx),
-                np.repeat(np.arange(n, dtype=np.int64), ly),
-            ]
-        )
-        vals = np.concatenate([vx, vy])
-        o = np.lexsort((vals, pidx))
-        pv, vv = pidx[o], vals[o]
-        if len(pv) == 0:
-            return np.zeros(n)
-        dup = (pv[1:] == pv[:-1]) & (vv[1:] == vv[:-1])
-        inter = np.bincount(pv[1:][dup], minlength=n)
-        union = lx + ly - inter
-        return inter / np.maximum(1, union)
-
-    return f
+    return PairMetric(rows, score)
 
 
-def cosine_metric():
-    """Exact float64 cosine over aligned fixed-length vector rows."""
+def cosine_metric() -> PairMetric:
+    """Exact float64 cosine over fixed-length vector rows; a zero
+    vector scores 0."""
 
-    def f(x: pa.Array, y: pa.Array) -> np.ndarray:
-        n = len(x)
-        if n == 0:
-            return np.zeros(0)
-        X = np.asarray(x.flatten(), dtype=np.float64).reshape(n, -1)
-        Y = np.asarray(y.flatten(), dtype=np.float64).reshape(n, -1)
-        nx = np.maximum(np.linalg.norm(X, axis=1), 1e-30)
-        ny = np.maximum(np.linalg.norm(Y, axis=1), 1e-30)
-        return (X * Y).sum(axis=1) / (nx * ny)
+    def rows(x: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+        M = np.asarray(x.flatten(), dtype=np.float64).reshape(len(x), -1)
+        return M, np.maximum(np.linalg.norm(M, axis=1), 1e-30)
 
-    return f
+    def score(f, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        M, norms = f
+        return (M[ia] * M[ib]).sum(axis=1) / (norms[ia] * norms[ib])
+
+    return PairMetric(rows, score)

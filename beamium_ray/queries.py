@@ -522,7 +522,9 @@ def dedup_minhash_docs(sf_dir: str):
                 minhash_dedup(docs, verify_threshold=0.8), "route", "auto"
             ),
             _tag(
-                minhash_dedup(docs, verify_threshold=0.8, distributed=True),
+                minhash_dedup(
+                    docs, verify_threshold=0.8, max_broadcast_pairs=0
+                ),
                 "route", "distributed",
             ),
             _tag(incremental, "route", "incremental"),
@@ -1112,7 +1114,7 @@ def dedup_minhash_tokens_docs(sf_dir: str):
         [
             _tag(minhash_dedup(seq, **kw), "route", "auto"),
             _tag(
-                minhash_dedup(seq, distributed=True, **kw),
+                minhash_dedup(seq, max_broadcast_pairs=0, **kw),
                 "route", "distributed",
             ),
         ]
@@ -1675,7 +1677,7 @@ def embedding_neardup_embeddings(sf_dir: str):
     )
     auto = embedding_neardup(ds, threshold=0.95).select(["a", "b"])
     dist = embedding_neardup(
-        ds, threshold=0.95, distributed=True
+        ds, threshold=0.95, max_broadcast_pairs=0
     ).select(["a", "b"])
     pq_arm = embedding_neardup(
         ds, threshold=0.95, candidates="pq"

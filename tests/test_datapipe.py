@@ -10,7 +10,6 @@ import pytest
 from beamium_ray.datapipe.dedup import (
     embedding_neardup,
     exact_dedup,
-    jaccard_pairs,
     minhash_dedup,
     minhash_signatures,
     simhash_batch,
@@ -221,17 +220,6 @@ def test_simhash_hot_bucket_capped(ray_session):
     assert t.num_rows == n - 1
     assert pc.min(t["a"]).as_py() == 0 and pc.max(t["a"]).as_py() == 0
     assert set(t["dist"].to_pylist()) == {0}
-
-
-def test_jaccard_pairs_ray(ray_session):
-    import ray.data
-
-    ds = ray.data.from_arrow(DOCS)
-    out = jaccard_pairs(ds, [(0, 1), (0, 2), (0, 5)])
-    j = {(r["a"], r["b"]): r["jaccard"] for r in out.to_pylist()}
-    assert j[(0, 1)] == 1.0
-    assert 0.5 < j[(0, 2)] < 1.0
-    assert j[(0, 5)] < 0.1
 
 
 def _embeddings(n=300, d=16, seed=5):
@@ -449,7 +437,8 @@ def test_minhash_forced_distributed_flag(ray_session):
 
     ds = ray.data.from_arrow(DOCS).repartition(2)
     m = {}
-    out = minhash_dedup(ds, verify_threshold=0.9, distributed=True, metrics=m)
+    out = minhash_dedup(ds, verify_threshold=0.9, max_broadcast_pairs=0,
+                        metrics=m)
     got = {r["doc_id"]: r["cluster"] for r in out.take_all()}
     assert m["path"] == "distributed"
     assert got[1] == 0 and got[2] == 2  # strict τ: exact dup only
@@ -505,7 +494,7 @@ def test_simhash_metrics_and_metrics_path(ray_session, tmp_path):
     assert on_disk["path"] == "driver"  # toy scale routes to the driver
     # the forced distributed route must agree pair-for-pair
     m2 = {}
-    out2 = simhash_candidates(ds, distributed=True, metrics=m2)
+    out2 = simhash_candidates(ds, max_broadcast_pairs=0, metrics=m2)
     assert m2["path"] == "distributed"
     assert m2["candidate_pairs"] == m["candidate_pairs"]
     key = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist(),
@@ -1120,15 +1109,15 @@ def test_semantic_dedup_clusters_and_singletons(ray_session):
                               pa.list_(pa.float64())),
     })
     ds = ray.data.from_arrow(t).repartition(3)
-    for forced in (None, True):
+    for cap in (2_000_000, 0):
         got = {
             r["doc_id"]: r["cluster"]
             for r in semantic_dedup(
-                ds, n_clusters=4, threshold=0.95, distributed=forced
+                ds, n_clusters=4, threshold=0.95, max_broadcast_pairs=cap
             ).take_all()
         }
         assert got == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3, 6: 6, 7: 7}, (
-            forced, got,
+            cap, got,
         )
 
 
@@ -2078,11 +2067,11 @@ def test_minhash_tokens_shingles(ray_session):
             "tokens": pa.array([a, near, other], pa.list_(pa.int32())),
         }
     )
-    for dist in (None, True):
+    for cap in (2_000_000, 0):
         out = minhash_dedup(
             ray.data.from_arrow(t), text_col="tokens", id_col="doc_id",
             k=8, verify_threshold=0.8, shingles="tokens",
-            distributed=dist,
+            max_broadcast_pairs=cap,
         )
         got = {
             r["doc_id"]: r["cluster"]

@@ -1,6 +1,7 @@
 """Source-level invariants of the package — one Ray start, one router
-for the filters, one block store, one keyed shuffle, one tick store —
-checked by scanning its source text: no Ray, milliseconds."""
+for the filters, one block store, one keyed shuffle, one tick store,
+one pair verifier — checked by scanning its source text: no Ray,
+milliseconds."""
 
 from __future__ import annotations
 
@@ -62,3 +63,14 @@ def test_one_tick_store(needle):
     # the incremental stores commit, read, sweep, expire and compact
     # through state.storegc.TickStore; none knows the file layout
     assert _files_with(needle) == ["state/storegc.py"]
+
+
+def test_one_pair_verifier():
+    # every near-dup family scores its candidate pairs through
+    # datapipe.pairjoin.verify_pairs, one kernel per metric
+    for needle in ("pair_metric_join(", "iter_rows_by_ids("):
+        assert _files_with(needle) == ["datapipe/pairjoin.py"], needle
+    for name in ("_jaccard_for_pairs", "shingle_sets_for",
+                 "sigs_from_sig_ds", "_vectors_for",
+                 "_verified_cosine_pairs"):
+        assert _files_with(f"def {name}(") == [], name

@@ -333,7 +333,7 @@ def test_embedding_neardup_pq_route(ray_session):
     assert got == set(zip(lsh["a"].to_pylist(), lsh["b"].to_pylist()))
 
     dist = embedding_neardup(
-        ds, threshold=0.95, candidates="pq", distributed=True
+        ds, threshold=0.95, candidates="pq", max_broadcast_pairs=0
     )
     assert got == set(zip(dist["a"].to_pylist(), dist["b"].to_pylist()))
 

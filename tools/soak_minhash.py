@@ -114,14 +114,14 @@ def run_once(data_dir: str, ncpu: int, distributed: bool | None = None) -> dict:
     from beamium_ray.datapipe.dedup import minhash_dedup
 
     ds = ray.data.read_parquet(data_dir, override_num_blocks=ncpu * 3)
+    # max_broadcast_pairs=0 forces the distributed verification route
+    route = {"max_broadcast_pairs": 0} if distributed else {}
     # warm-up: worker spawn + imports on a slice
-    minhash_dedup(ds.limit(2_000), verify_threshold=0.8,
-                  distributed=distributed).count()
+    minhash_dedup(ds.limit(2_000), verify_threshold=0.8, **route).count()
 
     metrics: dict = {}
     t0 = time.perf_counter()
-    out = minhash_dedup(ds, verify_threshold=0.8, distributed=distributed,
-                        metrics=metrics)
+    out = minhash_dedup(ds, verify_threshold=0.8, metrics=metrics, **route)
     n_docs = out.count()
     # distinct-cluster count over the narrow materialized labelling,
     # driver-side: a Ray groupby on this 200k-row table costs ~15 s of
