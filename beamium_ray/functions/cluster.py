@@ -8,6 +8,8 @@ session.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def cluster_cpus(default: int = 8) -> int:
     """Total CPUs Ray knows about (driver view), or ``default``."""
@@ -95,7 +97,24 @@ def shuffle_blocks_for(cardinality: int | None = None, floor: int = 4) -> int:
     return n
 
 
-def bucket_apply(ds, fn, *, by="bucket", prep=None, shuffle_blocks=None):
+def _each_group(fn, by: str):
+    """A whole-block UDF calling ``fn`` once per run of equal ``by``
+    values in a block sorted on ``by`` (an empty block calls nothing)."""
+
+    def each(block):
+        if block.num_rows == 0:
+            return
+        v = block[by].to_numpy()
+        starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]]).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(v)]):
+            yield fn(block.slice(lo, hi - lo))
+
+    each.__name__ = fn.__name__
+    return each
+
+
+def bucket_apply(ds, fn, *, by="bucket", prep=None, shuffle_blocks=None,
+                 boundaries=None):
     """The engine's one keyed shuffle: ``groupby(by).map_groups(fn)``.
 
     ``prep`` runs first as a whole-block pyarrow map (it usually tags
@@ -103,6 +122,17 @@ def bucket_apply(ds, fn, *, by="bucket", prep=None, shuffle_blocks=None):
     stream to that many blocks (falsy: no coalesce). ``by`` is a
     column name or a list of them. ``fn`` itself goes to
     ``map_groups``, so the operator keeps its name in Ray's logs.
+
+    ``boundaries`` (a single numeric ``by`` column only) replaces the
+    sort's sampled range boundaries with these: the shuffle then has
+    ``len(boundaries) + 1`` reduce blocks, the i-th holding the ``by``
+    values in [boundaries[i-1], boundaries[i]). Sampled boundaries
+    fall between equal keys at random, so with few distinct keys some
+    reduce blocks come out empty while others hold several keys; a
+    caller that knows its key range (the rollup's dense part ids)
+    passes one boundary per key instead, and every reduce task gets
+    exactly one key. ``fn`` is then called once per distinct ``by``
+    value of each reduce block, as ``map_groups`` does.
 
     CONTRACT (pinned by tests/test_bucket_apply.py): ``fn`` gets a
     pyarrow Table holding ALL rows of exactly one distinct ``by`` value
@@ -113,4 +143,8 @@ def bucket_apply(ds, fn, *, by="bucket", prep=None, shuffle_blocks=None):
         ds = ds.map_batches(prep, batch_format="pyarrow", batch_size=None)
     if shuffle_blocks:
         ds = ds.repartition(shuffle_blocks)
+    if boundaries:
+        return ds.sort(by, boundaries=list(boundaries)).map_batches(
+            _each_group(fn, by), batch_format="pyarrow", batch_size=None
+        )
     return ds.groupby(by).map_groups(fn, batch_format="pyarrow")

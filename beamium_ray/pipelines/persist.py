@@ -1,13 +1,14 @@
 """Persisting rollup: blocks + lineage manifests + resume.
 
-``rollup_to_blocks`` is the durable variant of the rollup: the
-per-bucket merge task also ENCODES (Gorilla/DoD blocks) and COMMITS
-(manifest, written after blocks via tmp+rename) — so one Ray task =
-one recoverable unit of work, mirroring the reference's
-file-is-the-checkpoint design (SURVEY.md §3.4). A rerun with the same
-input fingerprint + config hash prunes committed buckets at the
-PARTIAL stage (before the shuffle), so resumed runs do no redundant
-shuffle or merge work.
+``rollup_to_blocks`` is the durable variant of the rollup: the merge
+task of each shuffle part (a range of whole buckets) also ENCODES
+(Gorilla/DoD blocks) and COMMITS (manifest, written after blocks via
+tmp+rename) bucket by bucket — so each bucket is one recoverable unit
+of work, mirroring the reference's file-is-the-checkpoint design
+(SURVEY.md §3.4), while the merge and the codec run once per part. A
+rerun with the same input fingerprint + config hash prunes committed
+buckets at the PARTIAL stage (before the shuffle), so resumed runs do
+no redundant shuffle or merge work.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from __future__ import annotations
 import hashlib
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from beamium_ray.config import EngineConfig
 from beamium_ray.functions.cluster import bucket_apply
-from beamium_ray.stages.gorilla import decode_blocks, encode_block
+# encode_block (the one-block case) stays importable from here: the
+# traced perfbench replay wraps ``persist.encode_block`` by name
+from beamium_ray.stages.gorilla import decode_blocks, encode_block, encode_blocks  # noqa: F401
 from beamium_ray.stages.rollup import (
     merge_cascade_gapfill,
     merge_tiers_with_prior,
@@ -74,7 +78,22 @@ def _encode_and_commit(
     float_codec: str = "bytes",
     int_codec: str = "bytes",
 ) -> pa.Table:
-    """Per-bucket merge → encode per tier → atomic block write → manifest.
+    """Merge → encode per tier → atomic block writes → manifest, for
+    every bucket in ``group`` (one shuffle part: one bucket or many).
+
+    The part is folded in ONE vectorized pass, then committed bucket by
+    bucket:
+
+    1. every bucket's manifest is read and checked (``config_hash``,
+       idempotent-rerun skip) before anything is written, so a refused
+       append leaves every bucket of the part untouched;
+    2. one ``decode_blocks`` reads all prior blocks of the part;
+    3. one ``merge_tiers_with_prior`` folds the buckets that have prior
+       state and one ``merge_cascade_gapfill`` rolls the ones that have
+       none (kept apart: each keeps its own float summation order);
+    4. one ``encode_blocks`` encodes every (bucket, tier) block;
+    5. per bucket: write its blocks, commit its manifest, GC its old
+       blocks — the crash contract stays per bucket.
 
     ``incremental`` (continuous-aggregate mode): merge the NEW partials
     with the bucket's existing blocks instead of replacing them — the
@@ -86,20 +105,127 @@ def _encode_and_commit(
     history to a base-only re-derive; gap-fill is regenerated per
     tier. Completed windows are never re-rolled from raw input.
     """
-    if group.num_rows == 0:
+    applied, priors = _check_part(
+        group, out_dir, fingerprint, config_hash, incremental
+    )
+    if not applied:
         return MANIFEST_ROW_SCHEMA.empty_table()
+    entries, old, prior_tier_rows = _prior_state(out_dir, priors)
+
+    buckets = group["bucket"].to_numpy()
+    warm = np.isin(buckets, [e["bucket"] for e in entries])
+    live = np.isin(buckets, list(applied))
+    rolled = []
+    for sel, prior in ((warm, True), (live & ~warm, False)):
+        if not sel.any():
+            continue
+        sub = group if sel.all() else group.filter(pa.array(sel))
+        # per-tier merge: each tier folds the new partials into ITS OWN
+        # prior state, so per-tier retention (base evicted, coarse kept)
+        # never loses coarse history to a base-only re-derive; exactly
+        # equal to the cascade when nothing was evicted (decomposable
+        # aggregates)
+        rolled.append(
+            merge_tiers_with_prior(
+                sub, tiers, prior_tier_rows, gapfill, gapfill_max_gap
+            )
+            if prior
+            else merge_cascade_gapfill(sub, tiers, gapfill, gapfill_max_gap)
+        )
+    rolled = pa.concat_tables(rolled)
+
+    # one block per (bucket, tier) cell; a stable sort keeps each
+    # block's rows in merge order
+    names = list(tiers)
+    cell = _row_buckets(rolled, group, entries, old) * len(names) + pc.index_in(
+        rolled["tier"], value_set=pa.array(names)
+    ).to_numpy()
+    order = np.argsort(cell, kind="stable")
+    rolled, cell = rolled.take(pa.array(order)).drop_columns(["tier"]), cell[order]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    ends = np.r_[starts[1:], len(cell)]
+    bufs = encode_blocks(
+        [rolled.slice(lo, hi - lo) for lo, hi in zip(starts, ends)],
+        float_codec=float_codec, int_codec=int_codec,
+    )
+    cells: dict[int, list] = {}
+    for c, lo, hi, buf in zip(cell[starts].tolist(), starts.tolist(),
+                              ends.tolist(), bufs):
+        cells.setdefault(c // len(names), []).append((names[c % len(names)],
+                                                      lo, hi, buf))
+
+    n = rolled["n"].fill_null(0).to_numpy()
+    ws = rolled["window_start"].to_numpy()
+    lt_ok = rolled["last_ts"].is_valid().to_numpy(zero_copy_only=False)
+    lt = rolled["last_ts"].fill_null(0).to_numpy()
+    base = min(tiers, key=tiers.get)
     delay = float(os.environ.get("BEAMIUM_TEST_COMMIT_DELAY", "0") or 0)
-    if delay:  # test hook: widen the kill window for crash-resume tests
-        import time
+    rows_out: list[dict] = []
+    for bucket in sorted(applied):
+        if delay:  # test hook: widen the kill window for crash-resume tests
+            import time
 
-        time.sleep(delay)
-    bucket = int(group["bucket"][0].as_py())
+            time.sleep(delay)
+        fp = combine_fp(applied[bucket]) if incremental else fingerprint
+        blocks: list[dict] = []
+        watermark = None
+        counters = {"points_rolled": 0, "windows": 0, "gap_windows": 0}
+        for tier, lo, hi, buf in cells.get(bucket, []):
+            # VERSIONED block path: the manifest commit is the only
+            # pointer switch. A crash after the block write but before
+            # the manifest rename leaves an orphan file the old manifest
+            # never references, so an append rerun re-reads the OLD block
+            # and cannot double-count (crash-window fix; old versions
+            # GC'd post-commit).
+            rel = os.path.join(
+                f"tier={tier}", f"bucket={bucket:05d}", f"block-{fp}.bin"
+            )
+            atomic_write_bytes(os.path.join(out_dir, rel), buf)
+            info = {
+                "tier": tier,
+                "path": rel,
+                "bytes": len(buf),
+                # content hash: lets fsck verify block BYTES against the
+                # lineage (a bit-flip that still decodes would otherwise
+                # only be caught if it moved a row/point/window count)
+                "sha256": hashlib.sha256(buf).hexdigest()[:16],
+                "rows": hi - lo,
+                "points": int(n[lo:hi].sum()),
+                "min_window": int(ws[lo:hi].min()),
+                "max_window": int(ws[lo:hi].max()),
+            }
+            blocks.append(info)
+            rows_out.append({"bucket": bucket, **info})
+            if tier == base:
+                counters = {"points_rolled": info["points"],
+                            "windows": info["rows"],
+                            "gap_windows": int((n[lo:hi] == 0).sum())}
+            if lt_ok[lo:hi].any():
+                lt_max = int(lt[lo:hi][lt_ok[lo:hi]].max())
+                watermark = lt_max if watermark is None else max(watermark, lt_max)
+        m = commit_bucket_manifest(
+            out_dir, bucket, fp, config_hash, blocks, counters, watermark,
+            applied=applied[bucket],
+        )
+        # post-commit GC: older block versions and crashed writes' leftovers
+        remove_files(unreferenced_blocks(out_dir, m))
+    return pa.Table.from_pylist(rows_out, schema=MANIFEST_ROW_SCHEMA)
 
-    applied = [fingerprint]
-    prior_tier_rows: dict[str, pa.Table] = {}
-    if incremental:
-        prior = bucket_manifest(out_dir, bucket)
-        if prior and prior.get("config_hash") != config_hash:
+
+def _check_part(group, out_dir, fingerprint, config_hash, incremental):
+    """Every bucket of the part, before anything is written: its append
+    lineage after this commit (a bucket that already applied
+    ``fingerprint`` is left out: idempotent rerun) and, when appending,
+    its prior manifest. Raises for a bucket rolled under another
+    ``config_hash``. Returns ({bucket: applied}, prior manifests)."""
+    applied: dict[int, list[str]] = {}
+    priors = []
+    for bucket in np.unique(group["bucket"].to_numpy()).tolist():
+        prior = bucket_manifest(out_dir, bucket) if incremental else None
+        if not prior:
+            applied[bucket] = [fingerprint]
+            continue
+        if prior.get("config_hash") != config_hash:
             raise ValueError(
                 f"append refused for bucket {bucket}: existing state was "
                 f"rolled with config_hash={prior.get('config_hash')} but "
@@ -107,95 +233,69 @@ def _encode_and_commit(
                 "discard prior history; re-roll from scratch (or to a new "
                 "output dir) after a semantic config change"
             )
-        if prior:
-            prior_applied = applied_fingerprints(prior)
-            if fingerprint in prior_applied:
-                return MANIFEST_ROW_SCHEMA.empty_table()  # idempotent rerun
-            applied = prior_applied + [fingerprint]
-            by_tier: dict[str, list[str]] = {}
-            for e in plan(out_dir, manifests=[prior]):
-                by_tier.setdefault(e.get("tier", ""), []).append(e["path"])
-            for t, paths in by_tier.items():
-                old = decode_blocks(paths)
-                # stored rows ARE merge state; drop gap-filled (n=0)
-                # rows, they are regenerated after the merge
-                prior_tier_rows[t] = old.filter(pc.greater(old["n"], 0))
-        fingerprint = combine_fp(applied)
+        prior_applied = applied_fingerprints(prior)
+        if fingerprint not in prior_applied:
+            applied[bucket] = prior_applied + [fingerprint]
+            priors.append(prior)
+    return applied, priors
 
-    if "bucket" in group.column_names:
-        group = group.drop_columns(["bucket"])
-    if prior_tier_rows:
-        # per-tier merge: each tier folds the new partials into ITS
-        # OWN prior state, so per-tier retention (base evicted, coarse
-        # kept) never loses coarse history to a base-only re-derive;
-        # exactly equal to the cascade when nothing was evicted
-        # (decomposable aggregates)
-        rolled = merge_tiers_with_prior(
-            group, tiers, prior_tier_rows, gapfill, gapfill_max_gap
+
+def _prior_state(out_dir, priors):
+    """One decode of every block of the ``priors`` manifests. Returns
+    (their plan entries, the decoded rows in entry order, the merge
+    state per tier: every bucket's stored rows, which ARE merge state,
+    minus the gap-filled n=0 rows that are regenerated after the
+    merge)."""
+    entries = plan(out_dir, manifests=priors)
+    old = decode_blocks([e["path"] for e in entries])
+    rows = [e["rows"] for e in entries]
+    if old.num_rows != sum(rows):
+        raise ValueError(
+            f"prior blocks of buckets {sorted({e['bucket'] for e in entries})} "
+            f"decode to {old.num_rows} rows but their manifests record "
+            f"{sum(rows)}; run fsck"
         )
-    else:
-        rolled = merge_cascade_gapfill(group, tiers, gapfill, gapfill_max_gap)
+    by_tier: dict[str, list[pa.Table]] = {}
+    for e, lo in zip(entries, np.cumsum([0] + rows).tolist()):
+        by_tier.setdefault(e.get("tier", ""), []).append(old.slice(lo, e["rows"]))
+    state = {}
+    for tier, parts in by_tier.items():
+        t = pa.concat_tables(parts)
+        state[tier] = t.filter(pc.greater(t["n"], 0))
+    return entries, old, state
 
-    blocks: list[dict] = []
-    rows_out: list[dict] = []
-    watermark = None
-    counters = {"points_rolled": 0, "windows": 0, "gap_windows": 0}
-    for tier in tiers:
-        tt = rolled.filter(pc.equal(rolled["tier"], tier)).drop_columns(["tier"])
-        if tt.num_rows == 0:
-            continue
-        buf = encode_block(tt, float_codec=float_codec, int_codec=int_codec)
-        # VERSIONED block path: the manifest commit is the only pointer
-        # switch. A crash after the block write but before the manifest
-        # rename leaves an orphan file the old manifest never references,
-        # so an append rerun re-reads the OLD block and cannot
-        # double-count (crash-window fix; old versions GC'd post-commit).
-        rel = os.path.join(
-            f"tier={tier}", f"bucket={bucket:05d}", f"block-{fingerprint}.bin"
-        )
-        atomic_write_bytes(os.path.join(out_dir, rel), buf)
-        ws = tt["window_start"].to_numpy()
-        lt_max = pc.max(tt["last_ts"]).as_py()  # None when all-null
-        base = min(tiers, key=tiers.get)
-        info = {
-            "tier": tier,
-            "path": rel,
-            "bytes": len(buf),
-            # content hash: lets fsck verify block BYTES against the
-            # lineage (a bit-flip that still decodes would otherwise
-            # only be caught if it moved a row/point/window count)
-            "sha256": hashlib.sha256(buf).hexdigest()[:16],
-            "rows": tt.num_rows,
-            "points": int(pc.sum(tt["n"]).as_py() or 0),
-            "min_window": int(ws.min()),
-            "max_window": int(ws.max()),
-        }
-        blocks.append(info)
-        rows_out.append({"bucket": bucket, **info})
-        if tier == base:
-            counters["points_rolled"] += info["points"]
-            counters["windows"] += tt.num_rows
-            counters["gap_windows"] += int(
-                pc.sum(pc.cast(pc.equal(tt["n"], 0), pa.int64())).as_py() or 0
-            )
-        if lt_max is not None:
-            watermark = lt_max if watermark is None else max(watermark, lt_max)
 
-    m = commit_bucket_manifest(
-        out_dir, bucket, fingerprint, config_hash, blocks, counters, watermark,
-        applied=applied,
-    )
-    # post-commit GC: older block versions and crashed writes' leftovers
-    remove_files(unreferenced_blocks(out_dir, m))
-    return pa.Table.from_pylist(rows_out, schema=MANIFEST_ROW_SCHEMA)
+def _row_buckets(rolled, group, entries, old) -> np.ndarray:
+    """The bucket of every ``rolled`` row, looked up by its series (a
+    series lives in one bucket): from the new partials, or from the
+    prior block it came from."""
+    keys, buckets = [group["series_key"]], [group["bucket"].to_numpy()]
+    if entries:
+        keys.append(old["series_key"])
+        buckets.append(np.repeat([e["bucket"] for e in entries],
+                                 [e["rows"] for e in entries]))
+    keys = pa.chunked_array(
+        [c for k in keys for c in k.chunks]
+    ).combine_chunks().dictionary_encode()
+    key_bucket = np.zeros(len(keys.dictionary), dtype=np.int64)
+    key_bucket[keys.indices.to_numpy()] = np.concatenate(buckets)
+    return key_bucket[
+        pc.index_in(rolled["series_key"], value_set=keys.dictionary).to_numpy()
+    ]
 
 
 def _roll_buckets(dp_ds, cfg, paths, out_dir, key_col, order_col,
                   incremental: bool):
     """The Ray plan both entry points share: combiner partials (buckets
-    in ``skip`` never enter the shuffle) → shuffle by bucket →
-    per-bucket merge/encode/commit → run manifest. Returns (run
-    manifest, manifest rows)."""
+    in ``skip`` never enter the shuffle) → shuffle by part → one
+    merge/encode pass per part, committed per bucket → run manifest.
+    Returns (run manifest, manifest rows).
+
+    A part is a contiguous range of whole buckets: with P =
+    ``cfg.rollup_shuffle_blocks()`` shuffle blocks, ``part = bucket * P
+    // num_buckets`` (the bucket itself when P is unset, 0, or at least
+    ``num_buckets``), so each merge task folds its buckets together
+    instead of paying the per-call fixed cost once per bucket."""
     out_dir = out_dir or cfg.output_dir
     validate_tiers(cfg.tiers)  # fail fast, before any compute launches
     fp, ch = input_fingerprint(paths), cfg.config_hash()
@@ -205,6 +305,7 @@ def _roll_buckets(dp_ds, cfg, paths, out_dir, key_col, order_col,
     base_us = min(cfg.tiers.values())
     tiers, gapfill, nb = dict(cfg.tiers), cfg.gapfill, cfg.num_buckets
     max_gap, codec, icodec = cfg.gapfill_max_gap, cfg.float_codec, cfg.int_codec
+    parts = cfg.rollup_shuffle_blocks()
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = partial_rollup_batch(
@@ -218,19 +319,26 @@ def _roll_buckets(dp_ds, cfg, paths, out_dir, key_col, order_col,
                     )
                 )
             )
-        return t
+        part = t["bucket"].to_numpy().astype(np.int64)
+        if parts and parts < nb:
+            part = part * parts // nb
+        return t.append_column("part", pa.array(part, pa.int32()))
 
     def _merge(group: pa.Table) -> pa.Table:
         return _encode_and_commit(
-            group, out_dir, tiers, gapfill, fp, ch, incremental=incremental,
-            gapfill_max_gap=max_gap, float_codec=codec, int_codec=icodec,
+            group.drop_columns(["part"]), out_dir, tiers, gapfill, fp, ch,
+            incremental=incremental, gapfill_max_gap=max_gap,
+            float_codec=codec, int_codec=icodec,
         )
 
     narrow = dp_ds.select_columns(
         [c for c in [key_col, "ts", "value", order_col] if c]
     )
+    # one reduce block per part: the sort's sampled boundaries would
+    # leave some merge tasks empty and give others two parts
     result = bucket_apply(
-        narrow, _merge, prep=_partial, shuffle_blocks=cfg.rollup_shuffle_blocks()
+        narrow, _merge, by="part", prep=_partial, shuffle_blocks=parts,
+        boundaries=range(1, min(parts, nb)) if parts else None,
     )
     rows = pa.concat_tables(
         list(result.iter_batches(batch_format="pyarrow"))

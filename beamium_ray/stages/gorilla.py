@@ -18,10 +18,14 @@ right trade for a vectorized engine at 10^12 scale; ratio loss vs.
 bit-packing is small on rollup outputs. Round-trips are exact
 (bit-identical doubles incl. NaN payloads; fuzz-tested).
 
-Blocks (``encode_block``/``decode_block``) serialize a whole rolled
-table: dictionary-encoded series keys, DoD window starts, XOR floats,
-validity bitmaps for gap-filled nulls. ``decode_blocks`` decodes a
-list of block files into one table.
+Every kernel is SEGMENTED: it runs over the concatenation of many
+streams at once (``lens`` gives each stream's length) and keeps each
+stream's heads, padding and bit/nibble alignment its own, so a stream
+encodes to the same bytes alone or in a batch. Blocks
+(``encode_blocks``/``decode_blocks``) serialize whole rolled tables —
+dictionary-encoded series keys, DoD window starts, XOR floats,
+validity bitmaps for gap-filled nulls — in one pass over all of them;
+``encode_block``/``decode_block`` are the one-block case.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import struct
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 MAGIC = b"BRGB"
 VERSION = 1
@@ -39,8 +42,78 @@ VERSION = 1
 _WIDTHS = np.array([0, 1, 2, 4, 8], dtype=np.int64)
 
 
-def _pack_varbytes(z: np.ndarray) -> tuple[np.ndarray, bytes]:
-    """uint64 values → (width-class tags 0..4, concatenated LE payload)."""
+# ---------- segment plumbing ----------
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    off = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=off[1:])
+    return off
+
+
+def _positions(lens: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Index of every element when segment k (``lens[k]`` long) is
+    placed at ``starts[k]``."""
+    lens = np.asarray(lens, dtype=np.int64)
+    off = _offsets(lens)
+    seg = np.repeat(np.arange(len(lens)), lens)
+    return np.asarray(starts, dtype=np.int64)[seg] + (
+        np.arange(off[-1], dtype=np.int64) - off[seg]
+    )
+
+
+def _seg_sum(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    c = np.zeros(len(x) + 1, dtype=np.int64)
+    np.cumsum(x, out=c[1:])
+    off = _offsets(lens)
+    return c[off[1:]] - c[off[:-1]]
+
+
+def _split(buf: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    b = buf.tobytes()
+    off = _offsets(lens).tolist()
+    return [b[off[k]:off[k + 1]] for k in range(len(lens))]
+
+
+def _join(blobs: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    lens = np.array([len(b) for b in blobs], dtype=np.int64)
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8), lens
+
+
+def _pad(a: np.ndarray, lens: np.ndarray, unit: int):
+    """Each segment zero-padded to a multiple of ``unit``."""
+    pad = -lens % unit
+    if not pad.any():
+        return a, lens
+    off, zeros, pieces = _offsets(lens).tolist(), np.zeros(unit, a.dtype), []
+    for k, p in enumerate(pad.tolist()):
+        pieces += [a[off[k]:off[k + 1]], zeros[:p]]
+    return np.concatenate(pieces), lens + pad
+
+
+def _unpad(a: np.ndarray, plens: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The first ``lens[k]`` elements of each ``plens[k]``-long segment."""
+    if np.array_equal(plens, lens):
+        return a
+    off = _offsets(plens).tolist()
+    return np.concatenate(
+        [a[o:o + n] for o, n in zip(off, lens.tolist())] or [a[:0]]
+    )
+
+
+def _packbits(bits: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """``np.packbits`` per segment (each padded to a whole byte)."""
+    padded, plens = _pad(bits.astype(np.uint8), lens, 8)
+    return _split(np.packbits(padded), plens // 8)
+
+
+def _unpackbits(blobs: list[bytes], lens: np.ndarray) -> np.ndarray:
+    """The first ``lens[k]`` bits of each blob, concatenated."""
+    buf, blens = _join(blobs)
+    return _unpad(np.unpackbits(buf), blens * 8, lens)
+
+
+def _pack_varbytes(z: np.ndarray, lens: np.ndarray):
+    """uint64 values → (width-class tags 0..4, per-segment LE payloads)."""
     n = len(z)
     cls = np.zeros(n, dtype=np.uint8)
     cls[z > 0] = 1
@@ -49,130 +122,111 @@ def _pack_varbytes(z: np.ndarray) -> tuple[np.ndarray, bytes]:
     cls[z > 0xFFFFFFFF] = 4
     widths = _WIDTHS[cls]
     le = z.astype("<u8").view(np.uint8).reshape(n, 8)
-    col = np.broadcast_to(np.arange(8, dtype=np.int64), (n, 8))
-    mask = col < widths[:, None]
-    return cls, le[mask].tobytes()
+    mask = np.arange(8, dtype=np.int64) < widths[:, None]
+    return cls, _split(le[mask], _seg_sum(widths, lens))
 
 
-def _unpack_varbytes(cls: np.ndarray, payload: bytes) -> np.ndarray:
+def _unpack_varbytes(cls: np.ndarray, payload: np.ndarray) -> np.ndarray:
     n = len(cls)
     widths = _WIDTHS[cls.astype(np.int64)]
     out = np.zeros((n, 8), dtype=np.uint8)
-    col = np.broadcast_to(np.arange(8, dtype=np.int64), (n, 8))
-    mask = col < widths[:, None]
-    out[mask] = np.frombuffer(payload, dtype=np.uint8)
+    out[np.arange(8, dtype=np.int64) < widths[:, None]] = payload
     return out.view("<u8").ravel()
 
 
-def _pack_nibbles(a: np.ndarray) -> bytes:
-    """two 4-bit values per byte (padded)."""
-    if len(a) % 2:
-        a = np.concatenate([a, np.zeros(1, dtype=np.uint8)])
-    return ((a[0::2] << 4) | a[1::2]).tobytes()
+def _pack_nibbles(a: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """two 4-bit values per byte, each segment padded to a whole byte."""
+    padded, plens = _pad(a, lens, 2)
+    return _split((padded[0::2] << 4) | padded[1::2], plens // 2)
 
 
-def _unpack_nibbles(b: bytes, n: int) -> np.ndarray:
-    packed = np.frombuffer(b, dtype=np.uint8)
+def _unpack_nibbles(blobs: list[bytes], lens: np.ndarray) -> np.ndarray:
+    packed, blens = _join(blobs)
     out = np.empty(len(packed) * 2, dtype=np.uint8)
     out[0::2] = packed >> 4
     out[1::2] = packed & 0x0F
-    return out[:n]
+    return _unpad(out, blens * 2, lens)
 
 
-def encode_ints(arr: np.ndarray, depth: int = 2) -> dict:
-    """Delta^depth + zigzag + var-byte. depth=2 = delta-of-delta."""
-    a = arr.astype(np.int64)
-    heads = []
-    for _ in range(depth):
-        if len(a) == 0:
-            break
-        heads.append(int(a[0]))
-        a = np.diff(a)
-    z = a.astype(np.uint64)
-    z = (z << np.uint64(1)) ^ (a >> np.int64(63)).astype(np.uint64)
-    cls, payload = _pack_varbytes(z)
-    return {
-        "n": len(arr),
-        "depth": depth,
-        "heads": heads,
-        "tags": _pack_nibbles(cls),
-        "payload": payload,
-    }
-
-
-def decode_ints(blob: dict) -> np.ndarray:
-    n, depth, heads = blob["n"], blob["depth"], blob["heads"]
-    m = max(0, n - len(heads))
-    cls = _unpack_nibbles(blob["tags"], m)
-    z = _unpack_varbytes(cls, blob["payload"])
-    a = ((z >> np.uint64(1)) ^ (~(z & np.uint64(1)) + np.uint64(1))).astype(
-        np.int64
-    )
-    for h in reversed(heads):
-        with np.errstate(over="ignore"):
-            a = np.concatenate(([h], a)).cumsum(dtype=np.int64)
-    return a[:n]
-
-
-def encode_floats(arr: np.ndarray) -> dict:
-    """XOR-previous + zero-byte suppression (byte-granular Gorilla)."""
-    u = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-    x = u.copy()
-    x[1:] ^= u[:-1]
-    n = len(x)
-    if n == 0:
-        return {"n": 0, "tags": b"", "payload": b""}
-    b = x.astype("<u8").view(np.uint8).reshape(n, 8)
-    nz = b != 0
-    any_nz = nz.any(axis=1)
-    first = np.where(any_nz, nz.argmax(axis=1), 0)
-    last = np.where(any_nz, 7 - nz[:, ::-1].argmax(axis=1), -1)
-    length = (last - first + 1).clip(min=0)
-    tag = ((first.astype(np.uint8) << 4) | length.astype(np.uint8)).astype(
-        np.uint8
-    )
-    col = np.broadcast_to(np.arange(8, dtype=np.int64), (n, 8))
-    mask = (col >= first[:, None]) & (col <= last[:, None])
-    return {"n": n, "tags": tag.tobytes(), "payload": b[mask].tobytes()}
-
-
-def decode_floats(blob: dict) -> np.ndarray:
-    n = blob["n"]
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    tag = np.frombuffer(blob["tags"], dtype=np.uint8)
-    first = (tag >> 4).astype(np.int64)
-    length = (tag & 0x0F).astype(np.int64)
-    out = np.zeros((n, 8), dtype=np.uint8)
-    col = np.broadcast_to(np.arange(8, dtype=np.int64), (n, 8))
-    mask = (col >= first[:, None]) & (col < (first + length)[:, None])
-    out[mask] = np.frombuffer(blob["payload"], dtype=np.uint8)
-    x = out.view("<u8").ravel()
-    u = np.bitwise_xor.accumulate(x)
-    return u.view(np.float64)
-
-
-def _pack6(a: np.ndarray) -> bytes:
-    """Pack 6-bit values (0..63) into a dense bit stream."""
-    if len(a) == 0:
-        return b""
+def _pack6(a: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """6-bit values (0..63) as a dense bit stream per segment."""
     bits = np.unpackbits(a.astype(np.uint8)[:, None], axis=1)[:, 2:]  # low 6
-    return np.packbits(bits.ravel()).tobytes()
+    return _packbits(bits.ravel(), lens * 6)
 
 
-def _unpack6(b: bytes, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
-    bits = np.unpackbits(np.frombuffer(b, dtype=np.uint8))[: n * 6]
-    out = bits.reshape(n, 6)
+def _unpack6(blobs: list[bytes], lens: np.ndarray) -> np.ndarray:
+    out = _unpackbits(blobs, lens * 6).reshape(-1, 6)
     return (
         out[:, 0] * 32 + out[:, 1] * 16 + out[:, 2] * 8
         + out[:, 3] * 4 + out[:, 4] * 2 + out[:, 5]
     ).astype(np.uint8)
 
 
-def _pack_bitwindows(x: np.ndarray) -> dict:
-    """BIT-granular zero-window suppression of a uint64 array.
+def _xor_prev(arr: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Each float's bits XOR the previous float's in its segment."""
+    u = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+    x = u.copy()
+    x[1:] ^= u[:-1]
+    starts = _offsets(lens)[:-1][lens > 0]
+    x[starts] = u[starts]
+    return x
+
+
+def _unxor_prev(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    acc = np.bitwise_xor.accumulate(x)
+    base = np.concatenate((np.zeros(1, np.uint64), acc))[_offsets(lens)[:-1]]
+    return (acc ^ np.repeat(base, lens)).view(np.float64)
+
+
+def _delta_zigzag(arr: np.ndarray, lens: np.ndarray, depth: int):
+    """Delta^depth per segment (its heads kept aside), then zigzag."""
+    a = np.asarray(arr).astype(np.int64)
+    heads: list[list[int]] = [[] for _ in range(len(lens))]
+    for _ in range(depth):
+        live = np.flatnonzero(lens > 0)
+        if not len(live):
+            break
+        starts = _offsets(lens)[:-1][live]
+        for k, h in zip(live.tolist(), a[starts].tolist()):
+            heads[k].append(h)
+        keep = np.ones(len(a), dtype=bool)
+        keep[starts] = False
+        a = (a - np.concatenate((np.zeros(1, np.int64), a[:-1])))[keep]
+        lens = lens - (lens > 0)
+    z = a.astype(np.uint64)
+    z = (z << np.uint64(1)) ^ (a >> np.int64(63)).astype(np.uint64)
+    return z, lens, heads
+
+
+def _unzigzag_undelta(z: np.ndarray, lens: np.ndarray,
+                      heads: list[list[int]]) -> np.ndarray:
+    a = ((z >> np.uint64(1)) ^ (~(z & np.uint64(1)) + np.uint64(1))).astype(
+        np.int64
+    )
+    lens = np.asarray(lens, dtype=np.int64)
+    for j in reversed(range(max((len(h) for h in heads), default=0))):
+        has = np.array([len(h) > j for h in heads])
+        hv = np.array([h[j] for h in heads if len(h) > j], dtype=np.int64)
+        off, pieces, i = _offsets(lens).tolist(), [], 0
+        for k, h in enumerate(has.tolist()):
+            if h:
+                pieces.append(hv[i:i + 1])
+                i += 1
+            pieces.append(a[off[k]:off[k + 1]])
+        grown = lens + has
+        # a segment without a head at this depth is empty (its stream ran
+        # out while differencing), so one running sum serves them all
+        cs = np.cumsum(np.concatenate(pieces), dtype=np.int64)
+        base = np.concatenate((np.zeros(1, np.int64), cs))[_offsets(grown)[:-1]]
+        a = cs - np.repeat(base, grown)
+        lens = grown
+    return a
+
+
+# ---------- bit-granular zero-window suppression ----------
+
+def _pack_bitwindows(x: np.ndarray, lens: np.ndarray) -> list[dict]:
+    """BIT-granular zero-window suppression of uint64 streams.
 
     Per value: 1 control bit (zero); nonzero values add 6-bit leading
     -zero count + 6-bit (meaningful length - 1) in side streams and
@@ -181,9 +235,6 @@ def _pack_bitwindows(x: np.ndarray) -> dict:
     gather/scatter → packbits).
     """
     n = len(x)
-    if n == 0:
-        return {"codec": "bits", "n": 0, "nz": b"", "lead": b"",
-                "mlen": b"", "payload": b""}
     bits = np.unpackbits(
         x.astype(">u8").view(np.uint8).reshape(n, 8), axis=1
     )  # (n, 64) MSB-first
@@ -193,58 +244,150 @@ def _pack_bitwindows(x: np.ndarray) -> dict:
         np.int64
     )
     mlen = (last - first + 1).clip(min=0)
-    col = np.broadcast_to(np.arange(64, dtype=np.int64), (n, 64))
+    col = np.arange(64, dtype=np.int64)
     mask = (col >= first[:, None]) & (col <= last[:, None])
-    payload = np.packbits(bits[mask]).tobytes()
-    return {
-        "codec": "bits",
-        "n": n,
-        "nz": np.packbits(any_nz).tobytes(),
-        "lead": _pack6(first[any_nz].astype(np.uint8)),
-        "mlen": _pack6((mlen[any_nz] - 1).astype(np.uint8)),
-        "payload": payload,
-    }
+    k = _seg_sum(any_nz, lens)
+    streams = zip(
+        _packbits(any_nz, lens),
+        _pack6(first[any_nz], k),
+        _pack6(mlen[any_nz] - 1, k),
+        _packbits(bits[mask], _seg_sum(mlen, lens)),
+    )
+    return [
+        {"codec": "bits", "n": int(m), "nz": nz, "lead": lead, "mlen": ml,
+         "payload": payload}
+        for m, (nz, lead, ml, payload) in zip(lens.tolist(), streams)
+    ]
 
 
-def _unpack_bitwindows(blob: dict) -> np.ndarray:
-    n = blob["n"]
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    any_nz = np.unpackbits(
-        np.frombuffer(blob["nz"], dtype=np.uint8), count=n
-    ).astype(bool)
-    k = int(any_nz.sum())
+def _unpack_bitwindows(blobs: list[dict]) -> np.ndarray:
+    lens = np.array([b["n"] for b in blobs], dtype=np.int64)
+    any_nz = _unpackbits([b["nz"] for b in blobs], lens).astype(bool)
+    k = _seg_sum(any_nz, lens)
+    n = int(lens.sum())
     lead = np.zeros(n, dtype=np.int64)
     mlen = np.zeros(n, dtype=np.int64)
-    lead[any_nz] = _unpack6(blob["lead"], k)
-    mlen[any_nz] = _unpack6(blob["mlen"], k).astype(np.int64) + 1
-    mlen[~any_nz] = 0
-    col = np.broadcast_to(np.arange(64, dtype=np.int64), (n, 64))
+    lead[any_nz] = _unpack6([b["lead"] for b in blobs], k)
+    mlen[any_nz] = _unpack6([b["mlen"] for b in blobs], k).astype(np.int64) + 1
+    col = np.arange(64, dtype=np.int64)
     mask = (col >= lead[:, None]) & (col < (lead + mlen)[:, None])
-    total = int(mlen.sum())
-    pbits = np.unpackbits(np.frombuffer(blob["payload"], dtype=np.uint8))[
-        :total
-    ]
     grid = np.zeros((n, 64), dtype=np.uint8)
-    grid[mask] = pbits
+    grid[mask] = _unpackbits([b["payload"] for b in blobs], _seg_sum(mlen, lens))
     return np.packbits(grid, axis=1).view(">u8").ravel().astype(np.uint64)
 
 
-def encode_floats_bits(arr: np.ndarray) -> dict:
-    """XOR-previous + BIT-granular suppression (the paper's granularity,
-    vectorized; no '10 reuse previous window' mode — that control flow
-    is sequential per point). ~10-30% better ratio than the
-    byte-granular default on rollup-shaped data."""
-    u = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
-    x = u.copy()
-    x[1:] ^= u[:-1]
-    return _pack_bitwindows(x)
+# ---------- segmented stream codecs ----------
+
+def _encode_ints_seg(arr: np.ndarray, lens: np.ndarray, depth: int,
+                     codec: str) -> list[dict]:
+    """Delta^depth + zigzag + var-byte ("bytes") or bit windows ("bits")
+    per segment. depth=2 = delta-of-delta."""
+    z, zlens, heads = _delta_zigzag(arr, lens, depth)
+    if codec == "bits":
+        out = _pack_bitwindows(z, zlens)
+        for d, h, n in zip(out, heads, lens.tolist()):
+            d.update(depth=depth, heads=h, total_n=n)
+        return out
+    cls, payloads = _pack_varbytes(z, zlens)
+    return [
+        {"n": n, "depth": depth, "heads": h, "tags": t, "payload": p}
+        for n, h, t, p in zip(lens.tolist(), heads,
+                              _pack_nibbles(cls, zlens), payloads)
+    ]
 
 
-def decode_floats_bits(blob: dict) -> np.ndarray:
-    x = _unpack_bitwindows(blob)
-    u = np.bitwise_xor.accumulate(x)
-    return u.view(np.float64)
+def _by_codec(blobs: list[dict], decode_bytes, decode_bits, zlens):
+    """Decode a mix of "bytes" and "bits" streams into one array in
+    ``blobs`` order (``zlens``: each stream's decoded length)."""
+    bits = np.array([b.get("codec") == "bits" for b in blobs], dtype=bool)
+    groups = (bits, ~bits)
+    if groups[0].all():
+        return decode_bits(blobs)
+    if groups[1].all():
+        return decode_bytes(blobs)
+    out = np.empty(int(zlens.sum()), dtype=np.uint64)
+    starts = _offsets(zlens)[:-1]
+    for sel, fn in zip(groups, (decode_bits, decode_bytes)):
+        sub = [b for b, s in zip(blobs, sel) if s]
+        if sub:
+            out[_positions(zlens[sel], starts[sel])] = fn(sub)
+    return out
+
+
+def _decode_ints_seg(blobs: list[dict]) -> np.ndarray:
+    heads = [b["heads"] for b in blobs]
+    zlens = np.array(
+        [b["n"] if b.get("codec") == "bits" else max(0, b["n"] - len(h))
+         for b, h in zip(blobs, heads)],
+        dtype=np.int64,
+    )
+
+    def from_bytes(sub):
+        lens = np.array(
+            [max(0, b["n"] - len(b["heads"])) for b in sub], dtype=np.int64
+        )
+        cls = _unpack_nibbles([b["tags"] for b in sub], lens)
+        payload = np.frombuffer(b"".join(b["payload"] for b in sub), np.uint8)
+        return _unpack_varbytes(cls, payload)
+
+    z = _by_codec(blobs, from_bytes, _unpack_bitwindows, zlens)
+    return _unzigzag_undelta(z, zlens, heads)
+
+
+def _encode_floats_seg(arr: np.ndarray, lens: np.ndarray,
+                       codec: str) -> list[dict]:
+    """XOR-previous, then zero-byte ("bytes", byte-granular Gorilla) or
+    zero-bit ("bits", the paper's granularity) suppression per segment."""
+    x = _xor_prev(arr, lens)
+    if codec == "bits":
+        return _pack_bitwindows(x, lens)
+    n = len(x)
+    b = x.astype("<u8").view(np.uint8).reshape(n, 8)
+    nz = b != 0
+    any_nz = nz.any(axis=1)
+    first = np.where(any_nz, nz.argmax(axis=1), 0)
+    last = np.where(any_nz, 7 - nz[:, ::-1].argmax(axis=1), -1)
+    length = (last - first + 1).clip(min=0)
+    tag = ((first.astype(np.uint8) << 4) | length.astype(np.uint8)).astype(
+        np.uint8
+    )
+    col = np.arange(8, dtype=np.int64)
+    mask = (col >= first[:, None]) & (col <= last[:, None])
+    return [
+        {"n": m, "tags": t, "payload": p}
+        for m, t, p in zip(lens.tolist(), _split(tag, lens),
+                           _split(b[mask], _seg_sum(length, lens)))
+    ]
+
+
+def _decode_floats_seg(blobs: list[dict]) -> np.ndarray:
+    lens = np.array([b["n"] for b in blobs], dtype=np.int64)
+
+    def from_bytes(sub):
+        tag = np.frombuffer(b"".join(b["tags"] for b in sub), np.uint8)
+        first = (tag >> 4).astype(np.int64)
+        length = (tag & 0x0F).astype(np.int64)
+        out = np.zeros((len(tag), 8), dtype=np.uint8)
+        col = np.arange(8, dtype=np.int64)
+        out[(col >= first[:, None]) & (col < (first + length)[:, None])] = (
+            np.frombuffer(b"".join(b["payload"] for b in sub), np.uint8)
+        )
+        return out.view("<u8").ravel()
+
+    x = _by_codec(blobs, from_bytes, _unpack_bitwindows, lens)
+    return _unxor_prev(x, lens)
+
+
+# ---------- one-stream API ----------
+
+def _one(arr) -> tuple[np.ndarray, np.ndarray]:
+    arr = np.asarray(arr)
+    return arr, np.array([len(arr)], dtype=np.int64)
+
+
+def encode_ints(arr: np.ndarray, depth: int = 2) -> dict:
+    """Delta^depth + zigzag + var-byte. depth=2 = delta-of-delta."""
+    return _encode_ints_seg(*_one(arr), depth, "bytes")[0]
 
 
 def encode_ints_bits(arr: np.ndarray, depth: int = 2) -> dict:
@@ -252,119 +395,96 @@ def encode_ints_bits(arr: np.ndarray, depth: int = 2) -> dict:
     analog of the paper codec; the byte default spends ≥1 byte + a
     nibble tag per nonzero delta, this spends exactly the meaningful
     bits + 13 header bits)."""
-    a = arr.astype(np.int64)
-    heads = []
-    for _ in range(depth):
-        if len(a) == 0:
-            break
-        heads.append(int(a[0]))
-        a = np.diff(a)
-    z = a.astype(np.uint64)
-    z = (z << np.uint64(1)) ^ (a >> np.int64(63)).astype(np.uint64)
-    out = _pack_bitwindows(z)
-    out["depth"] = depth
-    out["heads"] = heads
-    out["total_n"] = len(arr)
-    return out
+    return _encode_ints_seg(*_one(arr), depth, "bits")[0]
 
 
-def decode_ints_bits(blob: dict) -> np.ndarray:
-    z = _unpack_bitwindows(blob)
-    a = ((z >> np.uint64(1)) ^ (~(z & np.uint64(1)) + np.uint64(1))).astype(
-        np.int64
-    )
-    for h in reversed(blob["heads"]):
-        with np.errstate(over="ignore"):
-            a = np.concatenate(([h], a)).cumsum(dtype=np.int64)
-    return a[: blob["total_n"]]
+def decode_ints(blob: dict) -> np.ndarray:
+    return _decode_ints_seg([blob])
 
 
-def encode_ints_any(arr: np.ndarray, depth: int = 2,
-                    codec: str = "bytes") -> dict:
-    if codec == "bits":
-        return encode_ints_bits(arr, depth)
-    return encode_ints(arr, depth)
+decode_ints_bits = decode_ints
 
 
-def decode_ints_any(blob: dict) -> np.ndarray:
-    if blob.get("codec") == "bits":
-        return decode_ints_bits(blob)
-    return decode_ints(blob)
+def encode_floats(arr: np.ndarray) -> dict:
+    """XOR-previous + zero-byte suppression (byte-granular Gorilla)."""
+    return _encode_floats_seg(*_one(arr), "bytes")[0]
 
 
-def encode_floats_any(arr: np.ndarray, codec: str = "bytes") -> dict:
-    if codec == "bits":
-        return encode_floats_bits(arr)
-    return encode_floats(arr)
+def encode_floats_bits(arr: np.ndarray) -> dict:
+    """XOR-previous + BIT-granular suppression (the paper's granularity,
+    vectorized; no '10 reuse previous window' mode — that control flow
+    is sequential per point). ~10-30% better ratio than the
+    byte-granular default on rollup-shaped data."""
+    return _encode_floats_seg(*_one(arr), "bits")[0]
 
 
-def decode_floats_any(blob: dict) -> np.ndarray:
-    if blob.get("codec") == "bits":
-        return decode_floats_bits(blob)
-    return decode_floats(blob)
+def decode_floats(blob: dict) -> np.ndarray:
+    return _decode_floats_seg([blob])
+
+
+decode_floats_bits = decode_floats
 
 
 # ---------- whole-block serialization ----------
 
 _FLOAT_COLS = ["vmin", "vmax", "vsum", "last"]
 _INT_COLS = ["n", "last_ts", "last_order"]
+_COL_ORDER = ["vmin", "vmax", "vsum", "n", "last", "last_ts", "last_order"]
 
 
-def _col_np(t: pa.Table, name: str):
-    a = t[name].combine_chunks() if isinstance(t[name], pa.ChunkedArray) else t[name]
-    mask = np.asarray(a.is_valid())
-    vals = a.to_numpy(zero_copy_only=False)
-    return vals, mask
+def _column(tables: list[pa.Table], name: str, typ: pa.DataType, zero):
+    """(values with nulls as ``zero``, validity) of one column over
+    ``tables``, as numpy."""
+    a = pa.chunked_array(
+        [c if c.type == typ else c.cast(typ)
+         for t in tables for c in t[name].chunks], typ
+    ).combine_chunks()
+    if not a.null_count:
+        return a.to_numpy(), np.ones(len(a), dtype=bool)
+    return a.fill_null(zero).to_numpy(), a.is_valid().to_numpy(
+        zero_copy_only=False
+    )
 
 
-def encode_block(t: pa.Table, float_codec: str = "bytes",
-                 int_codec: str = "bytes") -> bytes:
-    """Serialize one rolled-tier table (sorted by series_key, window_start).
+def _dictionary_runs(tables: list[pa.Table], lens: np.ndarray):
+    """Per table: its series-key dictionary (first-appearance order) and
+    the run-length encoding of its rows' ordinals into it, computed for
+    all tables in one pass. Returns (dictionaries, run ordinals, run
+    lengths, runs per table)."""
+    keys = pa.chunked_array(
+        [c if c.type == pa.string() else c.cast(pa.string())
+         for t in tables for c in t["series_key"].chunks],
+        pa.string(),
+    ).combine_chunks().dictionary_encode()
+    gid = keys.indices.to_numpy().astype(np.int64)
+    n, nd = len(gid), len(keys.dictionary)
+    first = np.zeros(n, dtype=bool)
+    first[1:] = gid[1:] != gid[:-1]
+    first[_offsets(lens)[:-1][lens > 0]] = True
+    rs = np.flatnonzero(first)
+    run_blk = np.repeat(np.arange(len(lens)), lens)[rs]
+    run_lens = np.diff(np.concatenate((rs, [n])))
+    # a table's dictionary lists its keys by first run; ordinals index it
+    pairs, first_run, inv = np.unique(
+        run_blk * nd + gid[rs], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_run, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    doff = _offsets(np.bincount(pairs // max(nd, 1), minlength=len(lens)))
+    run_ords = rank[inv.ravel()] - doff[run_blk]
+    words = keys.dictionary.take(pa.array(pairs[order] % max(nd, 1))).to_pylist()
+    doff = doff.tolist()
+    dicts = [words[doff[k]:doff[k + 1]] for k in range(len(lens))]
+    runs = np.bincount(run_blk, minlength=len(lens))
+    return dicts, run_ords, run_lens, runs
 
-    Layout: MAGIC, version, json header (blob directory + row count +
-    dictionary of series keys + run lengths), then raw blobs.
-    ``float_codec`` / ``int_codec``: "bytes" (default, byte-granular)
-    or "bits" (paper-granularity bit packing — up to 4× smaller
-    delta-of-delta timestamp streams on regular windows); blocks
-    self-describe, so readers decode either transparently.
-    """
-    n = t.num_rows
-    keys = t["series_key"].combine_chunks().dictionary_encode()
-    ords = keys.indices.to_numpy().astype(np.int64)
-    # run-length encode the (sorted) series ordinals
-    change = np.flatnonzero(np.diff(ords) != 0) + 1
-    run_starts = np.concatenate(([0], change)) if n else np.empty(0, np.int64)
-    run_ords = ords[run_starts] if n else np.empty(0, np.int64)
-    run_lens = np.diff(np.concatenate((run_starts, [n]))) if n else np.empty(0, np.int64)
 
+def _serialize(meta: dict) -> bytes:
+    """MAGIC, version, json header (blob directory + ``meta`` with every
+    bytes value moved out), then the raw blobs in name order."""
     blobs: dict[str, bytes] = {}
-    meta: dict = {
-        "rows": n,
-        "dictionary": keys.dictionary.to_pylist(),
-        "run_ords": encode_ints(run_ords, depth=1),
-        "run_lens": encode_ints(run_lens, depth=1),
-        "cols": {},
-    }
-    ws = t["window_start"].to_numpy()
-    meta["cols"]["window_start"] = encode_ints_any(ws, depth=2, codec=int_codec)
-    for name in _INT_COLS:
-        if name not in t.column_names:
-            continue
-        vals, mask = _col_np(t, name)
-        vals = np.where(mask, vals, 0).astype(np.int64)
-        enc = encode_ints_any(vals, depth=1, codec=int_codec)
-        enc["valid"] = np.packbits(mask).tobytes()
-        meta["cols"][name] = enc
-    for name in _FLOAT_COLS:
-        if name not in t.column_names:
-            continue
-        vals, mask = _col_np(t, name)
-        vals = np.where(mask, vals, 0.0).astype(np.float64)
-        enc = encode_floats_any(vals, float_codec)
-        enc["valid"] = np.packbits(mask).tobytes()
-        meta["cols"][name] = enc
 
-    # pull bytes out of meta into the blob section
     def extract(d: dict, prefix: str):
         for k, v in list(d.items()):
             if isinstance(v, (bytes, bytearray)):
@@ -383,12 +503,67 @@ def encode_block(t: pa.Table, float_codec: str = "bytes",
     return b"".join(parts)
 
 
-def decode_block(buf: bytes) -> pa.Table:
-    assert buf[:4] == MAGIC, "bad magic"
+def encode_blocks(tables: list[pa.Table], float_codec: str = "bytes",
+                  int_codec: str = "bytes") -> list[bytes]:
+    """Serialize rolled-tier tables (each sorted by series_key,
+    window_start), one block per table, in one pass over all of them.
+
+    Layout per block: MAGIC, version, json header (blob directory + row
+    count + dictionary of series keys + run lengths), then raw blobs.
+    ``float_codec`` / ``int_codec``: "bytes" (default, byte-granular)
+    or "bits" (paper-granularity bit packing — up to 4× smaller
+    delta-of-delta timestamp streams on regular windows); blocks
+    self-describe, so readers decode either transparently.
+    """
+    if not tables:
+        return []
+    lens = np.array([t.num_rows for t in tables], dtype=np.int64)
+    dicts, run_ords, run_lens, runs = _dictionary_runs(tables, lens)
+    metas = [
+        {"rows": n, "dictionary": d, "run_ords": o, "run_lens": r, "cols": {}}
+        for n, d, o, r in zip(
+            lens.tolist(), dicts,
+            _encode_ints_seg(run_ords, runs, 1, "bytes"),
+            _encode_ints_seg(run_lens, runs, 1, "bytes"),
+        )
+    ]
+    ws, _ = _column(tables, "window_start", pa.int64(), 0)
+    for m, enc in zip(metas, _encode_ints_seg(ws, lens, 2, int_codec)):
+        m["cols"]["window_start"] = enc
+    names = [set(t.column_names) for t in tables]
+    for name in _INT_COLS + _FLOAT_COLS:
+        have = [k for k, cols in enumerate(names) if name in cols]
+        if not have:
+            continue
+        sub = lens[have]
+        if name in _INT_COLS:
+            vals, valid = _column([tables[k] for k in have], name, pa.int64(), 0)
+            encs = _encode_ints_seg(vals, sub, 1, int_codec)
+        else:
+            vals, valid = _column(
+                [tables[k] for k in have], name, pa.float64(), 0.0
+            )
+            encs = _encode_floats_seg(vals, sub, float_codec)
+        for k, enc, bits in zip(have, encs, _packbits(valid, sub)):
+            enc["valid"] = bits
+            metas[k]["cols"][name] = enc
+    return [_serialize(m) for m in metas]
+
+
+def encode_block(t: pa.Table, float_codec: str = "bytes",
+                 int_codec: str = "bytes") -> bytes:
+    """One block: :func:`encode_blocks` of one table."""
+    return encode_blocks([t], float_codec, int_codec)[0]
+
+
+def _parse(buf: bytes) -> dict:
+    """A block's header meta with its blobs put back in place."""
+    if buf[:4] != MAGIC:
+        raise ValueError("bad magic")
     ver, hlen = struct.unpack("<HI", buf[4:10])
-    assert ver == VERSION
+    if ver != VERSION:
+        raise ValueError(f"unknown block version {ver}")
     header = json.loads(buf[10 : 10 + hlen].decode())
-    meta = header["meta"]
     blobs: dict[str, bytes] = {}
     pos = 10 + hlen
     for k, ln in header["blobs"]:
@@ -403,50 +578,67 @@ def decode_block(buf: bytes) -> pa.Table:
                 else:
                     restore(v)
 
+    meta = header["meta"]
     restore(meta)
-    n = meta["rows"]
-    run_ords = decode_ints(meta["run_ords"])
-    run_lens = decode_ints(meta["run_lens"])
-    dictionary = pa.array(meta["dictionary"], pa.string())
-    ords = np.repeat(run_ords, run_lens)
-    series = dictionary.take(pa.array(ords, pa.int64()))
-    cols: dict = {"series_key": series}
-    cols["window_start"] = pa.array(
-        decode_ints_any(meta["cols"]["window_start"]), pa.int64()
-    )
-    for name in _INT_COLS + _FLOAT_COLS:
-        enc = meta["cols"].get(name)
-        if enc is None:
-            continue
-        mask = np.unpackbits(
-            np.frombuffer(enc["valid"], dtype=np.uint8), count=n
-        ).astype(bool)
-        if name in _INT_COLS:
-            vals = decode_ints_any(enc)
-            cols[name] = pa.array(vals, pa.int64(), mask=~mask)
-        else:
-            vals = decode_floats_any(enc)
-            cols[name] = pa.array(vals, pa.float64(), mask=~mask)
-    order = ["series_key", "window_start"] + [
-        c for c in ["vmin", "vmax", "vsum", "n", "last", "last_ts", "last_order"]
-        if c in cols
-    ]
-    return pa.table({k: cols[k] for k in order})
+    return meta
 
 
-def decode_blocks(paths: list[str], min_window: int | None = None,
+def decode_blocks(blocks: list, min_window: int | None = None,
                   max_window: int | None = None) -> pa.Table:
-    """Decode block files into one table in ``paths`` order, keeping the
-    rows whose ``window_start`` lies in [min_window, max_window]."""
-    parts = []
-    for path in paths:
-        with open(path, "rb") as f:
-            parts.append(decode_block(f.read()))
-    if not parts:
+    """Decode blocks (file paths or raw bytes) into one table in
+    ``blocks`` order, keeping the rows whose ``window_start`` lies in
+    [min_window, max_window]; one pass over all blocks per column. A
+    column some blocks lack is null on their rows."""
+    if not blocks:
         return pa.table({})
-    t = pa.concat_tables(parts, promote_options="default")
+    bufs = []
+    for b in blocks:
+        if isinstance(b, (bytes, bytearray, memoryview)):
+            bufs.append(bytes(b))
+        else:
+            with open(b, "rb") as f:
+                bufs.append(f.read())
+    metas = [_parse(b) for b in bufs]
+    lens = np.array([m["rows"] for m in metas], dtype=np.int64)
+    off = _offsets(lens)
+
+    dicts = [m["dictionary"] for m in metas]
+    runs = _decode_ints_seg([m["run_ords"] for m in metas])
+    nruns = np.array([m["run_ords"]["n"] for m in metas], dtype=np.int64)
+    runs = runs + np.repeat(_offsets([len(d) for d in dicts])[:-1], nruns)
+    ords = np.repeat(runs, _decode_ints_seg([m["run_lens"] for m in metas]))
+    ws = _decode_ints_seg([m["cols"]["window_start"] for m in metas])
+    keep = np.ones(len(ws), dtype=bool)
     if min_window is not None:
-        t = t.filter(pc.greater_equal(t["window_start"], min_window))
+        keep &= ws >= min_window
     if max_window is not None:
-        t = t.filter(pc.less_equal(t["window_start"], max_window))
-    return t
+        keep &= ws <= max_window
+    words = pa.array([w for d in dicts for w in d], pa.string())
+    cols: dict = {
+        "series_key": words.take(pa.array(ords[keep], pa.int64())),
+        "window_start": pa.array(ws[keep], pa.int64()),
+    }
+    names: list[str] = []
+    for m in metas:
+        names += [c for c in _COL_ORDER if c in m["cols"] and c not in names]
+    for name in names:
+        have = np.array([name in m["cols"] for m in metas])
+        encs = [m["cols"][name] for m, h in zip(metas, have) if h]
+        sub = lens[have]
+        decode = _decode_ints_seg if name in _INT_COLS else _decode_floats_seg
+        vals = decode(encs)
+        valid = _unpackbits([e["valid"] for e in encs], sub).astype(bool)
+        if not have.all():  # rows of blocks without the column: null
+            at = _positions(sub, off[:-1][have])
+            vals_all = np.zeros(off[-1], dtype=vals.dtype)
+            valid_all = np.zeros(off[-1], dtype=bool)
+            vals_all[at], valid_all[at] = vals, valid
+            vals, valid = vals_all, valid_all
+        typ = pa.int64() if name in _INT_COLS else pa.float64()
+        cols[name] = pa.array(vals[keep], typ, mask=~valid[keep])
+    return pa.table(cols)
+
+
+def decode_block(buf: bytes) -> pa.Table:
+    """One block: :func:`decode_blocks` of one buffer."""
+    return decode_blocks([buf])

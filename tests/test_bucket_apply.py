@@ -38,10 +38,7 @@ def _blocks() -> list[pa.Table]:
     return out
 
 
-@pytest.mark.parametrize(
-    "by, shuffle_blocks", [("bucket", None), ("bucket", 3), (["bucket", "k2"], 2)]
-)
-def test_fn_sees_each_key_once_and_never_empty(ray_session, by, shuffle_blocks):
+def _check_contract(by, shuffle_blocks, boundaries=None):
     import ray.data
 
     keys = [by] if isinstance(by, str) else by
@@ -66,12 +63,11 @@ def test_fn_sees_each_key_once_and_never_empty(ray_session, by, shuffle_blocks):
         return pa.Table.from_pylist([row])
 
     res = bucket_apply(
-        ds, fn, by=by, prep=keep_positive, shuffle_blocks=shuffle_blocks
+        ds, fn, by=by, prep=keep_positive, shuffle_blocks=shuffle_blocks,
+        boundaries=boundaries,
     )
-    out = pa.concat_tables(
-        list(res.iter_batches(batch_format="pyarrow", batch_size=None)),
-        promote_options="default",
-    )
+    batches = list(res.iter_batches(batch_format="pyarrow", batch_size=None))
+    out = pa.concat_tables(batches, promote_options="default")
     assert pc.min(out["rows"]).as_py() >= 1
     assert set(out["keys_seen"].to_pylist()) == {1}
 
@@ -88,3 +84,22 @@ def test_fn_sees_each_key_once_and_never_empty(ray_session, by, shuffle_blocks):
 
     # one call per distinct key, holding all of that key's rows
     assert rows(out, "rows", "vsum") == rows(want, "v_count", "v_sum")
+    return res
+
+
+@pytest.mark.parametrize(
+    "by, shuffle_blocks", [("bucket", None), ("bucket", 3), (["bucket", "k2"], 2)]
+)
+def test_fn_sees_each_key_once_and_never_empty(ray_session, by, shuffle_blocks):
+    _check_contract(by, shuffle_blocks)
+
+
+@pytest.mark.parametrize("boundaries", [[3, 6], range(1, 9)])
+def test_explicit_boundaries_keep_the_contract(ray_session, boundaries):
+    """With explicit sort boundaries the shuffle has one reduce block per
+    range, every range here is non-empty, and ``fn`` still sees each key
+    once with all its rows (several keys per block for [3, 6])."""
+    res = _check_contract("bucket", 2, boundaries)
+    merge = [line for line in res.stats().splitlines()
+             if "MapBatches(fn)" in line and "tasks executed" in line]
+    assert merge and f"{len(boundaries) + 1} tasks executed" in merge[-1]
