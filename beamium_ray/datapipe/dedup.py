@@ -1667,6 +1667,11 @@ def semantic_dedup(
     # ds — materialize once so a lazy upstream (read + embedding
     # decode) doesn't re-execute 3×
     ds = ds.materialize()
+    if ds.count() == 0:  # no doc to train on or label
+        return ray.data.from_arrow(pa.table(
+            {"doc_id": pa.array([], pa.int64()),
+             "cluster": pa.array([], pa.int64())}
+        ))
     if centroids is None:
         trainer = (
             train_centroids_distributed if train == "distributed"

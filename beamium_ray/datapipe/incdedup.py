@@ -778,14 +778,15 @@ class IncrementalSemanticDedup(_IncrementalDedupBase):
             cent = np.load(self._centroids_path)
         else:
             from beamium_ray.datapipe.similarity import (
-                _block_head_sample, _kmeans_on_sample,
+                _block_head_sample, train_pq_codebooks,
             )
 
-            cent = _kmeans_on_sample(
+            cent = train_pq_codebooks(
                 _block_head_sample(mat, self.vec_col, self.sample_size),
+                1,
                 self.n_clusters,
                 self.seed,
-            )
+            )[0]
         if not os.path.exists(self._centroids_path):
             # np.save appends .npy when missing — keep the suffix so the
             # tmp name is exactly what lands on disk

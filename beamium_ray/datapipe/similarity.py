@@ -21,6 +21,11 @@ def _mat(col) -> np.ndarray:
     return np.stack(arrs).astype(np.float64)
 
 
+def _unit(M: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm (cosine space; zero rows stay zero)."""
+    return M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
+
+
 class BruteForceTopK:
     """Actor-pool stage: per batch, cosine of all rows vs Q; emit local
     top-k candidates (vec_id, query_idx, cosine)."""
@@ -30,9 +35,6 @@ class BruteForceTopK:
 
         q = ray.get(queries_ref) if not isinstance(queries_ref, np.ndarray) else queries_ref
         self.Q = np.asarray(q, dtype=np.float64)  # (nq, d)
-        self.Qn = self.Q / np.maximum(
-            np.linalg.norm(self.Q, axis=1, keepdims=True), 1e-30
-        )
         self.k = k
         self.vec_col = vec_col
         self.id_col = id_col
@@ -168,7 +170,8 @@ def train_centroids(
     seed: int = 42,
     sample_size: int = 4096,
 ) -> np.ndarray:
-    """Spherical k-means centroids from a bounded driver-side sample.
+    """Spherical k-means centroids from a bounded driver-side sample:
+    the one-subspace case of :func:`train_pq_codebooks`.
 
     Cosine search needs centroids fitted and vectors assigned in
     UNIT-NORM space, or mixed-magnitude embeddings land the true
@@ -179,27 +182,7 @@ def train_centroids(
             vec_col
         ]
     )
-    return _kmeans_on_sample(S, n_lists, seed)
-
-
-def _lloyd(S: np.ndarray, k: int, seed: int, rounds: int = 5) -> np.ndarray:
-    """Few Lloyd rounds on a driver-resident sample, raw space (no
-    normalization — PQ subspaces are not unit vectors)."""
-    rng = np.random.default_rng(seed)
-    cent = S[rng.choice(len(S), size=min(k, len(S)), replace=False)].copy()
-    for _ in range(rounds):
-        assign = _nearest_centroid(S, cent)
-        for c in range(len(cent)):
-            m = assign == c
-            if m.any():
-                cent[c] = S[m].mean(0)
-    return cent
-
-
-def _kmeans_on_sample(S: np.ndarray, n_lists: int, seed: int) -> np.ndarray:
-    """Few Lloyd rounds on a driver-resident sample (unit-norm space)."""
-    S = S / np.maximum(np.linalg.norm(S, axis=1, keepdims=True), 1e-30)
-    return _lloyd(S, n_lists, seed)
+    return train_pq_codebooks(S, 1, n_lists, seed)[0]
 
 
 def _nearest_centroid(Mu: np.ndarray, cent: np.ndarray) -> np.ndarray:
@@ -246,89 +229,12 @@ def train_centroids_distributed(
     """Spherical k-means over the FULL corpus (Lloyd rounds as Ray
     passes) — removes ``train_centroids``'s dependence on the bounded
     driver sample when the corpus doesn't fit a representative 4k-row
-    slice.
-
-    Scale shape per round: centroids are ``ray.put`` once; each block
-    assigns its vectors locally and emits PARTIAL (list_id, j, s, n)
-    sum rows — at most n_lists × (d+1) narrow rows per block, so the
-    merge groupby shuffles kilobytes regardless of corpus size; the
-    driver folds only the n_lists × d merged sums. Vectors never
-    shuffle. Initialization = the sample-based trainer (one cheap
-    pass), so with a representative sample this converges in 2-4
-    rounds. Empty lists keep their previous centroid."""
-    import ray
-
-    # materialize once: the init sample needs the block count and the
-    # Lloyd rounds re-read the corpus `rounds` times — re-executing a
-    # lazy upstream pipeline per round would multiply its cost
-    ds = ds.materialize()
-    # init must COVER the corpus: per-block heads, not a head-only
-    # limit() (a corpus sorted by source would hide whole clusters
-    # from the head and strand Lloyd in a merged-centroid minimum)
-    cent = _kmeans_on_sample(
-        _block_head_sample(ds, vec_col, sample_size), n_lists, seed
-    )
-    k, d = cent.shape
-
-    for _ in range(rounds):
-        cent_ref = ray.put(cent)
-
-        def partial(batch: pa.Table, _ref=cent_ref) -> pa.Table:
-            c = ray.get(_ref)
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        "list_id": pa.array([], pa.int32()),
-                        "j": pa.array([], pa.int32()),
-                        "s": pa.array([], pa.float64()),
-                    }
-                )
-            M = _mat(batch[vec_col])
-            Mu = M / np.maximum(
-                np.linalg.norm(M, axis=1, keepdims=True), 1e-30
-            )
-            assign = _nearest_centroid(Mu, c)
-            sums = np.zeros((len(c), Mu.shape[1]))
-            np.add.at(sums, assign, Mu)
-            counts = np.bincount(assign, minlength=len(c)).astype(np.float64)
-            # j = d is the count row — same narrow (list, j, s) schema
-            lid = np.repeat(
-                np.arange(len(c), dtype=np.int32), Mu.shape[1] + 1
-            )
-            jj = np.tile(
-                np.arange(Mu.shape[1] + 1, dtype=np.int32), len(c)
-            )
-            s = np.concatenate(
-                [sums, counts[:, None]], axis=1
-            ).ravel()
-            keep = np.repeat(counts > 0, Mu.shape[1] + 1)
-            return pa.table(
-                {
-                    "list_id": pa.array(lid[keep], pa.int32()),
-                    "j": pa.array(jj[keep], pa.int32()),
-                    "s": pa.array(s[keep], pa.float64()),
-                }
-            )
-
-        merged = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby(["list_id", "j"])
-            .sum("s")
-        )
-        new = cent.copy()
-        tot = np.zeros(k)
-        sums = np.zeros((k, d))
-        for b in merged.iter_batches(batch_format="pyarrow"):
-            lid = b["list_id"].to_numpy()
-            jj = b["j"].to_numpy()
-            s = b["sum(s)"].to_numpy()
-            cm = jj == d
-            tot[lid[cm]] += s[cm]
-            sums[lid[~cm], jj[~cm]] += s[~cm]
-        nz = tot > 0
-        new[nz] = sums[nz] / tot[nz, None]
-        cent = new
-    return cent
+    slice. The one-subspace case of
+    :func:`train_pq_codebooks_distributed` (same init, same rounds);
+    empty lists keep their previous centroid."""
+    return train_pq_codebooks_distributed(
+        ds, 1, n_lists, vec_col, seed, rounds, sample_size
+    )[0]
 
 
 class AssignList:
@@ -346,8 +252,7 @@ class AssignList:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch.append_column("list_id", pa.array([], pa.int32()))
-        M = _mat(batch[self.vec_col])
-        Mu = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
+        Mu = _unit(_mat(batch[self.vec_col]))
         assign = _nearest_centroid(Mu, self.cent)
         return batch.append_column(
             "list_id", pa.array(assign.astype(np.int32), pa.int32())
@@ -478,7 +383,7 @@ def ivf_search(
     from beamium_ray.functions.cluster import cached_stage
 
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-30)
+    qn = _unit(q)
     qd2 = ((qn[:, None, :] - index.centroids[None, :, :]) ** 2).sum(-1)
     probed = np.argsort(qd2, axis=1)[:, :nprobe]  # (nq, nprobe)
     union: set[int] = set(probed.ravel().tolist())
@@ -550,6 +455,29 @@ def ivf_topk(
 # ---------------------------------------------------------------------------
 
 
+def _lloyd_sums(Mu: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """One Lloyd assignment of unit rows ``Mu`` against ``books`` (m,
+    k, dsub), per subspace: (m, k, dsub + 1) sums, the last column the
+    counts. Sums from any split of the rows add up to the whole's."""
+    m, k, dsub = books.shape
+    acc = np.zeros((m, k, dsub + 1))
+    for j in range(m):
+        X = Mu[:, j * dsub:(j + 1) * dsub]
+        a = _nearest_centroid(X, books[j])
+        np.add.at(acc[j, :, :dsub], a, X)
+        acc[j, :, dsub] = np.bincount(a, minlength=k)
+    return acc
+
+
+def _lloyd_step(books: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """New codebooks from merged :func:`_lloyd_sums`; a code that
+    attracted no vectors keeps its entry."""
+    n = acc[..., -1]
+    new = books.copy()
+    new[n > 0] = acc[..., :-1][n > 0] / n[n > 0][:, None]
+    return new
+
+
 def train_pq_codebooks(
     sample: np.ndarray,
     m: int = 8,
@@ -558,22 +486,26 @@ def train_pq_codebooks(
 ) -> np.ndarray:
     """Per-subspace codebooks (m, k_sub, d/m) from a driver-resident
     sample (the standard recipe — PQ codebooks train on a bounded
-    sample, like the coarse quantizer). Vectors are unit-normalized
-    first so ADC approximates COSINE via dot products."""
-    S = np.asarray(sample, dtype=np.float64)
-    S = S / np.maximum(np.linalg.norm(S, axis=1, keepdims=True), 1e-30)
+    sample, like the coarse quantizer, which is the ``m=1`` case).
+    Vectors are unit-normalized first so ADC approximates COSINE via
+    dot products; subspace j seeds its init draw with ``seed + j``,
+    then five Lloyd rounds."""
+    S = _unit(np.asarray(sample, dtype=np.float64))
     d = S.shape[1]
     if d % m:
         raise ValueError(f"dim {d} not divisible by m={m} subspaces")
-    if k_sub > 256:
+    if m > 1 and k_sub > 256:  # m=1 is the coarse quantizer: int32 ids
         raise ValueError("k_sub > 256 does not fit uint8 codes")
     dsub = d // m
-    return np.stack(
-        [
-            _lloyd(S[:, j * dsub:(j + 1) * dsub], k_sub, seed + j)
-            for j in range(m)
-        ]
-    )
+    books = np.stack([
+        S[np.random.default_rng(seed + j).choice(
+            len(S), size=min(k_sub, len(S)), replace=False
+        ), j * dsub:(j + 1) * dsub]
+        for j in range(m)
+    ])
+    for _ in range(5):
+        books = _lloyd_step(books, _lloyd_sums(S, books))
+    return books
 
 
 def train_pq_codebooks_distributed(
@@ -593,17 +525,16 @@ def train_pq_codebooks_distributed(
     dependence on a driver-side sample when the corpus doesn't fit a
     representative 4k-row slice (the 100 TB posture).
 
-    Scale shape per round (same contract as
-    :func:`train_centroids_distributed`): codebooks are ``ray.put``
-    once; each block snaps its vectors per subspace locally and emits
-    PARTIAL (sub, code, j, s) sum rows — at most
-    m × k_sub × (dsub+1) narrow rows per block (e.g. 8×16×5 = 640 at
-    d=32), so the merge groupby shuffles kilobytes regardless of
-    corpus size; the driver folds only the m × k_sub × dsub merged
-    sums. Vectors never shuffle. Initialization = the sample-based
-    trainer on a per-block-head covering sample, so with a
-    representative sample this converges in 2-4 rounds. Codes that
-    attract no vectors keep their previous entry.
+    Scale shape per round (the coarse quantizer's too, as ``m=1``):
+    codebooks are ``ray.put`` once; each block snaps its vectors per
+    subspace locally and emits PARTIAL (sub, code, j, s) sum rows — at
+    most m × k_sub × (dsub+1) narrow rows per block (e.g. 8×16×5 = 640
+    at d=32), which ``fold`` merges densely, so only kilobytes move
+    regardless of corpus size; the driver reads the one merged block.
+    Vectors never shuffle. Initialization = the sample-based trainer
+    on a per-block-head covering sample, so with a representative
+    sample this converges in 2-4 rounds. Codes that attract no vectors
+    keep their previous entry.
 
     ``sample_frac`` (with ``id_col``) is the 100 TB posture: train the
     rounds on a deterministic salted-hash row sample
@@ -615,6 +546,7 @@ def train_pq_codebooks_distributed(
     SAME rows."""
     import ray
 
+    from beamium_ray.functions.cluster import dense_merge, fold
     from beamium_ray.functions.hashing import splitmix64 as _smx
 
     if sample_frac is not None:
@@ -661,92 +593,25 @@ def train_pq_codebooks_distributed(
         books = train_pq_codebooks(
             _block_head_sample(ds, vec_col, sample_size), m, k_sub, seed
         )
-    _, k, dsub = books.shape
-
+    shape = (m, books.shape[1], books.shape[2] + 1)
+    keys = ["sub", "code", "j"]
     for _ in range(rounds):
-        books_ref = ray.put(books)
+        ref = ray.put(books)
 
-        def partial(batch: pa.Table, _ref=books_ref) -> pa.Table:
-            b = ray.get(_ref)  # (m, k_sub, dsub)
-            mm, kk, dd = b.shape
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        "sub": pa.array([], pa.int32()),
-                        "code": pa.array([], pa.int32()),
-                        "j": pa.array([], pa.int32()),
-                        "s": pa.array([], pa.float64()),
-                    }
-                )
-            M = _mat(batch[vec_col])
-            Mu = M / np.maximum(
-                np.linalg.norm(M, axis=1, keepdims=True), 1e-30
+        def partial(batch: pa.Table, _ref=ref) -> pa.Table:
+            acc = (
+                _lloyd_sums(_unit(_mat(batch[vec_col])), ray.get(_ref))
+                if batch.num_rows else np.zeros(shape)
             )
-            # per subspace: assign → (k_sub, dsub) sums + counts,
-            # flattened to the narrow (sub, code, j, s) schema with
-            # j = dsub as the count row
-            sub_l, code_l, j_l, s_l = [], [], [], []
-            for sj in range(mm):
-                X = Mu[:, sj * dd:(sj + 1) * dd]
-                assign = _nearest_centroid(X, b[sj])
-                sums = np.zeros((kk, dd))
-                np.add.at(sums, assign, X)
-                counts = np.bincount(assign, minlength=kk).astype(
-                    np.float64
-                )
-                nz = counts > 0
-                if not nz.any():
-                    continue
-                codes = np.flatnonzero(nz).astype(np.int32)
-                code_l.append(np.repeat(codes, dd + 1))
-                sub_l.append(
-                    np.full(len(codes) * (dd + 1), sj, dtype=np.int32)
-                )
-                j_l.append(
-                    np.tile(np.arange(dd + 1, dtype=np.int32), len(codes))
-                )
-                s_l.append(
-                    np.concatenate(
-                        [sums[nz], counts[nz, None]], axis=1
-                    ).ravel()
-                )
-            if not sub_l:
-                return pa.table(
-                    {
-                        "sub": pa.array([], pa.int32()),
-                        "code": pa.array([], pa.int32()),
-                        "j": pa.array([], pa.int32()),
-                        "s": pa.array([], pa.float64()),
-                    }
-                )
-            return pa.table(
-                {
-                    "sub": pa.array(np.concatenate(sub_l)),
-                    "code": pa.array(np.concatenate(code_l)),
-                    "j": pa.array(np.concatenate(j_l)),
-                    "s": pa.array(np.concatenate(s_l)),
-                }
-            )
+            nz = np.flatnonzero(acc)
+            cols = dict(zip(keys, np.unravel_index(nz, shape)))
+            return pa.table({**cols, "s": acc.ravel()[nz]})
 
-        merged = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby(["sub", "code", "j"])
-            .sum("s")
-        )
-        new = books.copy()
-        tot = np.zeros((m, k))
-        sums = np.zeros((m, k, dsub))
-        for b in merged.iter_batches(batch_format="pyarrow"):
-            sub = b["sub"].to_numpy()
-            code = b["code"].to_numpy()
-            jj = b["j"].to_numpy()
-            s = b["sum(s)"].to_numpy()
-            cm = jj == dsub
-            np.add.at(tot, (sub[cm], code[cm]), s[cm])
-            np.add.at(sums, (sub[~cm], code[~cm], jj[~cm]), s[~cm])
-        nz = tot > 0
-        new[nz] = sums[nz] / tot[nz][:, None]
-        books = new
+        acc = np.zeros(shape)
+        merged = fold(ds, partial, lambda b: dense_merge(b, keys, "s", shape))
+        for b in merged.iter_batches(batch_format="numpy", batch_size=None):
+            acc[b["sub"], b["code"], b["j"]] += b["s"]
+        books = _lloyd_step(books, acc)
     return books
 
 
@@ -789,8 +654,7 @@ class PqEncode:
             return batch.append_column(
                 "pq_code", pa.array([], pa.binary(m))
             )
-        M = _mat(batch[self.vec_col])
-        Mu = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
+        Mu = _unit(_mat(batch[self.vec_col]))
         dsub = Mu.shape[1] // m
         codes = np.empty((len(Mu), m), dtype=np.uint8)
         for j in range(m):
@@ -819,7 +683,7 @@ class AdcShortlist:
         self.mask = get(mask_ref)  # (n_lists, nq)
         self.shortlist = shortlist
         self.id_col = id_col
-        qu = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-30)
+        qu = _unit(q)
         m, _, dsub = self.books.shape
         # (m, nq, k_sub) lookup tables, built once per worker
         self.lut = np.stack(
@@ -920,7 +784,7 @@ def build_ivfpq_index(
     cent = (
         np.asarray(centroids, dtype=np.float64)
         if centroids is not None
-        else _kmeans_on_sample(sample, n_lists, seed)
+        else train_pq_codebooks(sample, 1, n_lists, seed)[0]
     )
     if pq_sample_frac is not None and pq_train != "distributed":
         raise ValueError(
@@ -981,7 +845,7 @@ def ivfpq_search(
     from beamium_ray.functions.cluster import cached_stage
 
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    qu = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-30)
+    qu = _unit(q)
     qd2 = ((qu[:, None, :] - index.centroids[None, :, :]) ** 2).sum(-1)
     probed = np.argsort(qd2, axis=1)[:, :nprobe]
     union: set[int] = set(probed.ravel().tolist())

@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from beamium_ray.functions.cluster import bucket_apply
+from beamium_ray.functions.cluster import bucket_apply, dense_merge, fold
 
 
 def group_quantiles(
@@ -73,81 +73,47 @@ def group_quantiles(
 HLL_P = 12  # 2^12 = 4096 registers, standard error ~1.04/sqrt(m) = 1.6%
 
 
+def _hll_reg_rank(keys) -> tuple[np.ndarray, np.ndarray]:
+    """(register, rank) of each key: the top HLL_P bits of its
+    splitmix64 hash pick the register, the rank is the leading zeros
+    of the 52-bit suffix + 1 = 53 - bitlength(w) (w < 2^52 is exactly
+    representable in float64, so frexp's exponent is the bit length)."""
+    from beamium_ray.functions.hashing import splitmix64
+
+    h = splitmix64(keys.to_numpy(zero_copy_only=False).astype(np.uint64))
+    reg = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
+    w = (h & np.uint64((1 << (64 - HLL_P)) - 1)).astype(np.uint64)
+    _, exp = np.frexp(w.astype(np.float64))
+    return reg, np.where(w == 0, 53, 53 - exp).astype(np.int64)
+
+
 def hll_register_rows(
     batch: pa.Table, key_col: str
 ) -> pa.Table:
     """Per-batch PARTIAL HyperLogLog registers as (reg, rank) rows —
-    the combiner: at most 4096 narrow rows leave each block no matter
-    its size; a ``groupby(reg).max(rank)`` merge yields the exact
-    corpus-wide sketch state (register max is associative/commutative).
+    the combiner, which is the register-max merge applied to the
+    block's own keys: at most 4096 narrow rows leave each block no
+    matter its size, and re-merging them yields the exact corpus-wide
+    sketch state (register max is associative/commutative).
 
     Deterministic by construction (splitmix64 of the key): the register
     TABLE — not the float estimate — is the gate artifact, so the
     DuckDB oracle can recompute it integer-exactly."""
-    from beamium_ray.functions.hashing import splitmix64
-
-    out_empty = pa.table(
-        {"reg": pa.array([], pa.int64()), "rank": pa.array([], pa.int64())}
-    )
-    if batch.num_rows == 0:
-        return out_empty
-    k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = splitmix64(k)
-    reg = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    w = (h & np.uint64((1 << (64 - HLL_P)) - 1)).astype(np.uint64)
-    # rank = leading zeros of the 52-bit suffix + 1 = 53 - bitlength(w)
-    # (w < 2^52 is exactly representable in float64, so frexp's
-    # exponent is exact: bitlength = exponent)
-    _, exp = np.frexp(w.astype(np.float64))
-    rank = np.where(w == 0, 53, 53 - exp).astype(np.int64)
-    order = np.lexsort((-rank, reg))
-    reg_s, rank_s = reg[order], rank[order]
-    first = np.concatenate(([True], reg_s[1:] != reg_s[:-1]))
-    return pa.table(
-        {
-            "reg": pa.array(reg_s[first], pa.int64()),
-            "rank": pa.array(rank_s[first], pa.int64()),
-        }
-    )
+    reg, rank = _hll_reg_rank(batch[key_col])
+    return _hll_max_merge(pa.table({"reg": reg, "rank": rank}))
 
 
 def _hll_max_merge(b: pa.Table) -> pa.Table:
-    """Dense register-max over (reg, rank) partial rows — one
-    maximum.at pass over the 4096 slots instead of a key-sorted
-    groupby (same trick as the histogram merge)."""
-    if b.num_rows == 0:
-        return b
-    reg = b["reg"].to_numpy(zero_copy_only=False)
-    rank = b["rank"].to_numpy(zero_copy_only=False)
-    dense = np.zeros(1 << HLL_P, np.int64)
-    np.maximum.at(dense, reg, rank)
-    nz = np.nonzero(dense)[0]
-    return pa.table(
-        {
-            "reg": pa.array(nz.astype(np.int64), pa.int64()),
-            "rank": pa.array(dense[nz], pa.int64()),
-        }
-    )
+    """Register max over (reg, rank) rows, on the dense 4096 slots."""
+    return dense_merge(b, ["reg"], "rank", [1 << HLL_P], np.maximum)
 
 
 def hll_sketch(ds, key_col: str):
     """Dataset of the corpus-wide HLL register state (reg, rank):
-    per-batch partials (≤ 4096 rows/block) merged by a two-level
-    dense maximum.at pass — Ray's key-sorted groupby over the
-    bounded partials measured ~3× slower than re-maxing them."""
-    from beamium_ray.functions.cluster import shuffle_blocks_for
-
-    return (
-        ds.map_batches(
-            lambda b: hll_register_rows(b, key_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .repartition(shuffle_blocks_for())
-        .map_batches(_hll_max_merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(_hll_max_merge, batch_format="pyarrow", batch_size=None)
-    )
+    per-batch partials (≤ 4096 rows/block) folded by a dense register
+    max — Ray's key-sorted groupby over the bounded partials measured
+    ~3× slower than re-maxing them."""
+    return fold(ds, lambda b: hll_register_rows(b, key_col), _hll_max_merge)
 
 
 def hll_estimate(regs: np.ndarray, ranks: np.ndarray) -> float:
@@ -169,41 +135,14 @@ def hll_group_register_rows(
     batch: pa.Table, group_col: str, key_col: str
 ) -> pa.Table:
     """Per-batch PARTIAL per-group HLL registers as (group, reg, rank)
-    rows: at most (groups in block) × 4096 narrow rows leave each
-    block; a ``groupby(group, reg).max(rank)`` merge yields the exact
-    per-group sketch states. One lexsort — no per-group Python."""
-    from beamium_ray.functions.hashing import splitmix64
-
-    if batch.num_rows == 0:
-        return pa.table(
-            {
-                group_col: pa.array([], batch.schema.field(group_col).type),
-                "reg": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-            }
-        )
-    g = batch[group_col]
-    if isinstance(g, pa.ChunkedArray):
-        g = g.combine_chunks()
-    gd = pc.dictionary_encode(g)
-    gcode = gd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-    h = splitmix64(k)
-    reg = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    w = (h & np.uint64((1 << (64 - HLL_P)) - 1)).astype(np.uint64)
-    _, exp = np.frexp(w.astype(np.float64))
-    rank = np.where(w == 0, 53, 53 - exp).astype(np.int64)
-    order = np.lexsort((-rank, reg, gcode))
-    gs, rs, ks = gcode[order], reg[order], rank[order]
-    first = np.concatenate(
-        ([True], (gs[1:] != gs[:-1]) | (rs[1:] != rs[:-1]))
-    )
-    return pa.table(
-        {
-            group_col: gd.dictionary.take(pa.array(gs[first])),
-            "reg": pa.array(rs[first], pa.int64()),
-            "rank": pa.array(ks[first], pa.int64()),
-        }
+    rows — the grouped max merge applied to the block's own keys: at
+    most (groups in block) × 4096 narrow rows leave each block, and
+    re-merging them yields the exact per-group sketch states. One
+    lexsort — no per-group Python."""
+    reg, rank = _hll_reg_rank(batch[key_col])
+    return _hll_group_max_merge(
+        pa.table({group_col: batch[group_col], "reg": reg, "rank": rank}),
+        group_col,
     )
 
 
@@ -235,31 +174,14 @@ def _hll_group_max_merge(b: pa.Table, group_col: str) -> pa.Table:
 
 def hll_sketch_by_group(ds, group_col: str, key_col: str):
     """Dataset of per-group HLL register states (group, reg, rank):
-    per-batch partials merged by a two-level lexsort/first-occurrence
-    pass (the grouped form of the dense-merge trick — the key-sorted
-    groupby over the bounded partials was the query's wall time). At
-    100 TB only ≤4096 rows per (block, group) cross the wire, never
-    the keys."""
-    from beamium_ray.functions.cluster import shuffle_blocks_for
-
-    return (
-        ds.map_batches(
-            lambda b: hll_group_register_rows(b, group_col, key_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .repartition(shuffle_blocks_for())
-        .map_batches(
-            lambda b: _hll_group_max_merge(b, group_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .repartition(1)
-        .map_batches(
-            lambda b: _hll_group_max_merge(b, group_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
+    per-batch partials folded by a lexsort/first-occurrence max (the
+    grouped form of the dense merge — the key-sorted groupby over the
+    bounded partials was the query's wall time). At 100 TB only ≤4096
+    rows per (block, group) cross the wire, never the keys."""
+    return fold(
+        ds,
+        lambda b: hll_group_register_rows(b, group_col, key_col),
+        lambda b: _hll_group_max_merge(b, group_col),
     )
 
 
@@ -281,7 +203,7 @@ CMS_SALTS = (
 def cms_cell_rows(batch: pa.Table, key_col: str) -> pa.Table:
     """Per-batch PARTIAL count-min cells as (row, col, cnt) — the
     combiner: at most D·W = 4096 narrow rows leave each block no matter
-    its size; a ``groupby(row,col).sum(cnt)`` merge yields the exact
+    its size; a per-cell sum merge yields the exact
     corpus-wide sketch (cell addition is associative/commutative).
 
     Deterministic (splitmix64 of key xor a per-row salt): the CELL
@@ -309,44 +231,16 @@ def cms_cell_rows(batch: pa.Table, key_col: str) -> pa.Table:
     )
 
 
-def _cms_sum_merge(b: pa.Table) -> pa.Table:
-    """Dense cell-sum over (row, col, cnt) partial rows via a
-    composite-index add.at — no key-sorted groupby."""
-    if b.num_rows == 0:
-        return b
-    r = b["row"].to_numpy(zero_copy_only=False)
-    c = b["col"].to_numpy(zero_copy_only=False)
-    n = b["cnt"].to_numpy(zero_copy_only=False)
-    dense = np.zeros(CMS_D * CMS_W, np.int64)
-    np.add.at(dense, r * CMS_W + c, n)
-    nz = np.nonzero(dense)[0]
-    return pa.table(
-        {
-            "row": pa.array((nz // CMS_W).astype(np.int64), pa.int64()),
-            "col": pa.array((nz % CMS_W).astype(np.int64), pa.int64()),
-            "cnt": pa.array(dense[nz], pa.int64()),
-        }
-    )
-
-
 def cms_sketch(ds, key_col: str):
     """Dataset of the corpus-wide count-min cell state (row, col, cnt):
-    per-batch partials (≤ 4096 rows/block; keys never shuffle) merged
-    by a two-level dense add.at pass over the D×W slots — Ray's
-    key-sorted groupby over the bounded partials measured ~3× slower
-    than re-summing them."""
-    from beamium_ray.functions.cluster import shuffle_blocks_for
-
-    return (
-        ds.map_batches(
-            lambda b: cms_cell_rows(b, key_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .repartition(shuffle_blocks_for())
-        .map_batches(_cms_sum_merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(_cms_sum_merge, batch_format="pyarrow", batch_size=None)
+    per-batch partials (≤ 4096 rows/block; keys never shuffle) folded
+    by a dense cell sum over the D×W slots — Ray's key-sorted groupby
+    over the bounded partials measured ~3× slower than re-summing
+    them."""
+    return fold(
+        ds,
+        lambda b: cms_cell_rows(b, key_col),
+        lambda b: dense_merge(b, ["row", "col"], "cnt", [CMS_D, CMS_W]),
     )
 
 
@@ -401,52 +295,18 @@ def token_histogram_rows(batch: pa.Table, list_col: str) -> pa.Table:
     )
 
 
-def _histogram_merge(b: pa.Table) -> pa.Table:
-    """Weighted bincount over (token, n) partial rows — the exact
-    integer merge of any number of partial histograms in one
-    vectorized pass (no sort, no per-key state)."""
-    if b.num_rows == 0:
-        return b
-    tok = b["token"].to_numpy(zero_copy_only=False)
-    n = b["n"].to_numpy(zero_copy_only=False)
-    cnt = np.zeros(int(tok.max()) + 1, np.int64)
-    np.add.at(cnt, tok, n)
-    nz = np.nonzero(cnt)[0]
-    return pa.table(
-        {
-            "token": pa.array(nz.astype(np.int64), pa.int64()),
-            "n": pa.array(cnt[nz], pa.int64()),
-        }
-    )
-
-
-def _two_level_histogram(ds, rows_fn):
-    """Shared merge chain for vocab-bounded (token, n) partials:
-    coalesce → per-block weighted-bincount merge → single-block final
-    merge. Replaces a groupby-sum — Ray's key-sorted aggregate over
-    the ~|vocab|×blocks partial rows measured 5-10× slower than
-    re-bincounting them (sf0.1: 9.2 s → ~1 s). The final single-task
-    merge folds ≤ coalesce-width × |vocab| rows — trivial at any
-    corpus size."""
-    from beamium_ray.functions.cluster import shuffle_blocks_for
-
-    return (
-        ds.map_batches(rows_fn, batch_format="pyarrow", batch_size=None)
-        .repartition(shuffle_blocks_for())
-        .map_batches(_histogram_merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(_histogram_merge, batch_format="pyarrow", batch_size=None)
-    )
-
-
 def token_histogram(ds, list_col: str = "tokens"):
     """Corpus-wide token frequency table (token, n) — the vocabulary
     coverage / distribution stat a tokenized-corpus pipeline reports
     before training. The token payload never crosses a shuffle: each
     block emits ≤ |vocab| (token, n) partial rows via one bincount,
-    merged by the shared two-level bincount chain."""
-    return _two_level_histogram(
-        ds, lambda b: token_histogram_rows(b, list_col)
+    folded by a dense weighted bincount (Ray's key-sorted groupby-sum
+    over the ~|vocab|×blocks partials measured 5-10× slower: sf0.1
+    9.2 s → ~1 s)."""
+    return fold(
+        ds,
+        lambda b: token_histogram_rows(b, list_col),
+        lambda b: dense_merge(b, ["token"], "n"),
     )
 
 
@@ -578,19 +438,11 @@ def doc_frequency(ds, list_col: str = "tokens"):
     sequences contain each token at least once (the IDF building
     block, distinct-per-doc where :func:`token_histogram` counts every
     occurrence). Same scale shape: vocab-bounded partials per block,
-    two-level bincount merge, payload never shuffles."""
-    from beamium_ray.functions.cluster import shuffle_blocks_for
-
-    out = (
-        ds.map_batches(
-            lambda b: doc_frequency_rows(b, list_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .repartition(shuffle_blocks_for())
-        .map_batches(_histogram_merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(_histogram_merge, batch_format="pyarrow", batch_size=None)
+    folded by the bincount merge, payload never shuffles."""
+    out = fold(
+        ds,
+        lambda b: doc_frequency_rows(b, list_col),
+        lambda b: dense_merge(b, ["token"], "n"),
     )
     return out.map_batches(
         lambda t: t.rename_columns(["token", "n_docs"]),

@@ -9,6 +9,7 @@ session.
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 
 def cluster_cpus(default: int = 8) -> int:
@@ -95,6 +96,45 @@ def shuffle_blocks_for(cardinality: int | None = None, floor: int = 4) -> int:
     if cardinality is not None:
         n = min(n, max(1, cardinality))
     return n
+
+
+def fold(ds, partial, merge):
+    """The engine's one partial-aggregate plan (beamium's combiner plus
+    associative merge, made columnar): ``partial`` maps each block to a
+    few partial rows, the stream coalesces to ``shuffle_blocks_for()``
+    blocks, ``merge`` folds each of them, then they coalesce to one
+    block and ``merge`` folds once more. ``merge`` must accept its own
+    output. Only partial rows move; a key-sorted ``groupby`` over them
+    measured 4-10x slower than this dense re-merge at sf0.1."""
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+        .repartition(shuffle_blocks_for())
+        .map_batches(merge, batch_format="pyarrow", batch_size=None)
+        .repartition(1)
+        .map_batches(merge, batch_format="pyarrow", batch_size=None)
+    )
+
+
+def dense_merge(b, keys, val: str, shape=None, op=np.add):
+    """The dense-slot reducer for :func:`fold`: the ``keys`` columns of
+    the partial rows index a dense array of ``shape`` (default: each
+    key's max + 1), ``op.at`` folds ``val`` into it (``np.add`` sums,
+    ``np.maximum`` takes the max), and the nonzero slots come back as
+    (*keys int64, val) rows in slot order. One vectorized pass, no sort
+    and no per-key state."""
+    if b.num_rows == 0:
+        return b
+    idx = [b[k].to_numpy() for k in keys]
+    if shape is None:
+        shape = [int(i.max()) + 1 for i in idx]
+    v = b[val].to_numpy()
+    dense = np.zeros(int(np.prod(shape)), v.dtype)
+    op.at(dense, np.ravel_multi_index(idx, shape), v)
+    nz = np.flatnonzero(dense)
+    cols = {k: pa.array(i, pa.int64())
+            for k, i in zip(keys, np.unravel_index(nz, shape))}
+    cols[val] = pa.array(dense[nz])
+    return pa.table(cols)
 
 
 def _each_group(fn, by: str):

@@ -1168,6 +1168,49 @@ def test_train_centroids_distributed_recovers_clusters(ray_session):
     assert lab[99_000] == 4 * per - 1  # collapsed onto its source row
 
 
+@pytest.mark.parametrize("train", ["sample", "distributed"])
+def test_semantic_dedup_empty_corpus(ray_session, train):
+    """An empty corpus (run_clean's stages before dedup_semantic may
+    drop every doc) labels nothing instead of failing in the centroid
+    trainer — the same answer minhash_dedup gives."""
+    import ray.data
+
+    from beamium_ray.datapipe.dedup import semantic_dedup
+
+    t = pa.table({
+        "vec_id": pa.array([], pa.int64()),
+        "embedding": pa.array([], pa.list_(pa.float64())),
+    })
+    out = semantic_dedup(ray.data.from_arrow(t), n_clusters=4, train=train)
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "cluster"]
+
+
+def test_ivf_trainers_above_256_lists(ray_session):
+    """The uint8 guard is for PQ codes only: both coarse-quantizer
+    trainers (sample and distributed) return 300 centroids for 300
+    lists, while PQ codebooks with k_sub=300 still refuse."""
+    import ray.data
+
+    from beamium_ray.datapipe.similarity import (
+        train_centroids, train_centroids_distributed, train_pq_codebooks,
+    )
+
+    V = np.random.default_rng(7).normal(size=(600, 16))
+    t = pa.table({
+        "vec_id": pa.array(np.arange(600), pa.int64()),
+        "embedding": pa.array([v.tolist() for v in V],
+                              pa.list_(pa.float64())),
+    })
+    ds = ray.data.from_arrow(t).repartition(3)
+    assert train_centroids(ds, n_lists=300).shape == (300, 16)
+    assert train_centroids_distributed(
+        ds, n_lists=300, rounds=1
+    ).shape == (300, 16)
+    with pytest.raises(ValueError, match="uint8"):
+        train_pq_codebooks(V, k_sub=300)
+
+
 def test_length_bucket_batches_ranks(ray_session):
     """Ranks are dense, start at 0 per length bucket, follow id order
     across range buckets and block splits; batch_idx = rank // size;

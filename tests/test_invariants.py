@@ -1,6 +1,6 @@
 """Source-level invariants of the package — one Ray start, one router
 for the filters, one block store, one keyed shuffle, one tick store,
-one pair verifier — checked by scanning its source text: no Ray,
+one pair verifier, one fold — checked by scanning its source text: no Ray,
 milliseconds."""
 
 from __future__ import annotations
@@ -74,3 +74,13 @@ def test_one_pair_verifier():
                  "sigs_from_sig_ds", "_vectors_for",
                  "_verified_cosine_pairs"):
         assert _files_with(f"def {name}(") == [], name
+
+
+def test_one_fold():
+    # the sketches, the vocabulary histograms and both Lloyd trainers
+    # merge their partial rows through functions.cluster.fold
+    assert _files_with("repartition(1)") == ["functions/cluster.py"]
+    for name in ("datapipe/stats.py", "datapipe/similarity.py"):
+        text = (PKG / name).read_text()
+        for needle in (".groupby(", "repartition("):
+            assert needle not in text, (name, needle)

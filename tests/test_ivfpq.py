@@ -38,6 +38,35 @@ def test_train_pq_codebooks_shape_and_guards():
         train_pq_codebooks(S, m=8, k_sub=300)
 
 
+def test_sample_trainer_matches_per_centroid_lloyd():
+    """The vectorized Lloyd round (per-subspace sums + counts, then one
+    division) against the per-centroid mean loop it replaced: same init
+    draw (seed + j), five rounds, empty codes keep their entry. Only
+    the summation order differs, so the books agree to 1e-12; the
+    coarse quantizer is the m=1 case and takes k above 256."""
+
+    def loop_lloyd(S, k, seed, rounds=5):
+        rng = np.random.default_rng(seed)
+        cent = S[rng.choice(len(S), size=min(k, len(S)), replace=False)]
+        for _ in range(rounds):
+            assign = (S @ cent.T - 0.5 * (cent * cent).sum(1)).argmax(1)
+            for c in range(len(cent)):
+                if (assign == c).any():
+                    cent[c] = S[assign == c].mean(0)
+        return cent
+
+    S = np.random.default_rng(4).normal(size=(600, 32))
+    Su = S / np.linalg.norm(S, axis=1, keepdims=True)
+    books = train_pq_codebooks(S, m=8, k_sub=16, seed=3)
+    want = np.stack(
+        [loop_lloyd(Su[:, j * 4:(j + 1) * 4], 16, 3 + j) for j in range(8)]
+    )
+    assert np.allclose(books, want, rtol=0, atol=1e-12)
+    cent = train_pq_codebooks(S, m=1, k_sub=300, seed=5)
+    assert cent.shape == (1, 300, 32)
+    assert np.allclose(cent[0], loop_lloyd(Su, 300, 5), rtol=0, atol=1e-12)
+
+
 def _clustered_corpus(n=400, d=32, n_clusters=8, seed=3):
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_clusters, d))

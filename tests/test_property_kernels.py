@@ -125,9 +125,12 @@ def test_split_sequences_kernel_lossless(lists, max_len):
 )
 @settings(max_examples=100, deadline=None)
 def test_histogram_merge_matches_naive(pairs):
-    """_histogram_merge over arbitrary (token, n) partial rows equals a
-    dict fold."""
-    from beamium_ray.datapipe.stats import _histogram_merge
+    """The dense-slot reducer folding arbitrary (token, n) partial rows
+    (the vocabulary histograms' merge) equals a dict fold."""
+    from beamium_ray.functions.cluster import dense_merge
+
+    def _histogram_merge(t):
+        return dense_merge(t, ["token"], "n")
 
     t = pa.table(
         {
